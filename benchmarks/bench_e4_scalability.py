@@ -9,14 +9,15 @@ schema matching grows mildly (seeding is capped), fusion is linear in the
 number of tuples.  The blocking series shows `snm` and `token` proposing a
 shrinking fraction of the quadratic pair count while reproducing the exact
 accepted duplicate-pair set at the parity checkpoint.  The parallel-scoring
-series shows the multiprocess executor reproducing the serial run bit for
-bit while reporting the wall-clock speedup (informational — CI runners may
-be single-core).
+series shows pool scoring (``workers > 1``) reproducing the in-process run
+bit for bit while reporting the wall-clock speedup (informational — CI
+runners may be single-core).
 """
 
 import json
 import time
 
+import repro.dedup.pairs as pairs_module
 from benchmarks.conftest import print_table
 from repro.core.pipeline import FusionPipeline
 from repro.datagen.corruptor import CorruptionConfig
@@ -24,18 +25,13 @@ from repro.datagen.scenarios import cd_stores_scenario, students_scenario
 from repro.dedup.blocking import AdaptiveBlocking
 from repro.dedup.descriptions import select_interesting_attributes
 from repro.dedup.detector import DuplicateDetector
-from repro.dedup.executor import (
-    MultiprocessExecutor,
-    ScoringBatch,
-    SerialExecutor,
-    score_batch,
-)
-from repro.dedup.pairs import CandidatePairGenerator
-from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
+from repro.dedup.pairs import CandidatePairGenerator, score_chunk
+from repro.dedup.similarity_measure import ColumnarPairScorer, DuplicateSimilarityMeasure
 from repro.engine.catalog import Catalog
 from repro.matching.dumas import DumasMatcher
 from repro.matching.multi import MultiMatcher
 from repro.matching.transform import transform_sources
+from tests.dedup.reference_scoring import ReferenceScorer
 
 ENTITY_COUNTS = [20, 40, 80, 120]
 SOURCE_COUNTS = [2, 3, 4]
@@ -217,7 +213,7 @@ def test_e4_adaptive_blocking(benchmark):
       end at the parity size, by plan inspection at the second size.
     * ≥1000 entities: the plan escalates past all-pairs and the proposed
       candidates stay at or below 30% of all pairs (candidate enumeration
-      only — scoring that many pairs is the parallel executor's benchmark).
+      only — scoring that many pairs is the parallel-scoring series' job).
     """
     rows = []
 
@@ -298,14 +294,17 @@ def test_e4_adaptive_blocking(benchmark):
     )
 
 
-def test_e4_parallel_scoring(benchmark, request):
-    """Serial vs. multiprocess scoring: identical results, reported speedup.
+def test_e4_parallel_scoring(benchmark, request, monkeypatch):
+    """In-process vs. pool scoring: identical results, reported speedup.
 
-    Acceptance bar for the executor subsystem: with 2+ workers the
-    multiprocess executor must reproduce the serial accepted duplicate-pair
-    set, cluster assignment and filter statistics exactly at every size.
-    Speedup is reported but not asserted — CI runners may expose one core.
+    Acceptance bar for pool scoring: with 2+ workers the pool must reproduce
+    the in-process accepted duplicate-pair set, cluster assignment and
+    filter statistics exactly at every size.  Speedup is reported but not
+    asserted — CI runners may expose one core.
     """
+    # forces the pool even at smoke sizes, so the parallel code path is
+    # genuinely exercised on every CI run
+    monkeypatch.setattr(pairs_module, "MIN_PARALLEL_PAIRS", 0)
     workers = request.config.getoption("--workers")
     entities_option = request.config.getoption("--e4-entities")
     json_path = request.config.getoption("--e4-json")
@@ -321,18 +320,11 @@ def test_e4_parallel_scoring(benchmark, request):
         combined = prepare_students(entities)
 
         started = time.perf_counter()
-        serial = DuplicateDetector(
-            blocking="token", executor=SerialExecutor()
-        ).detect(combined)
+        serial = DuplicateDetector(blocking="token").detect(combined)
         serial_s = time.perf_counter() - started
 
-        # min_parallel_pairs=0 forces the pool even at smoke sizes, so the
-        # parallel code path is genuinely exercised on every CI run.
         started = time.perf_counter()
-        parallel = DuplicateDetector(
-            blocking="token",
-            executor=MultiprocessExecutor(workers=workers, min_parallel_pairs=0),
-        ).detect(combined)
+        parallel = DuplicateDetector(blocking="token", workers=workers).detect(combined)
         parallel_s = time.perf_counter() - started
 
         assert set(parallel.duplicate_pairs) == set(serial.duplicate_pairs)
@@ -387,10 +379,9 @@ def test_e4_parallel_scoring(benchmark, request):
             )
 
     benchmark.pedantic(
-        lambda: DuplicateDetector(
-            blocking="token",
-            executor=MultiprocessExecutor(workers=workers, min_parallel_pairs=0),
-        ).detect(prepare_students(sizes[0])),
+        lambda: DuplicateDetector(blocking="token", workers=workers).detect(
+            prepare_students(sizes[0])
+        ),
         rounds=1,
         iterations=1,
     )
@@ -412,9 +403,10 @@ def test_e4_columnar_scoring(benchmark, request):
     """Per-pair vs batched columnar dedup scoring: identical bits, speedup.
 
     Acceptance bar for the columnar engine (ISSUE 9): the batched kernels
-    (``ColumnarPairScorer`` via ``score_batch``) reproduce the per-pair
-    reference loop — row tuples, one ``upper_bound`` + ``compare_rows`` call
-    per candidate — **bit for bit** (same scores, same pruning counts), and
+    (``ColumnarPairScorer`` via ``score_chunk``) reproduce the per-pair
+    reference loop of ``tests/dedup/reference_scoring.py`` — row tuples, one
+    ``upper_bound`` + ``compare_rows`` call per candidate — **bit for bit**
+    (same scores, same pruning counts), and
     run at least 2× faster at 5k entities.  The speedup comes from memoised
     leaf work: repeated cell values tokenise, vectorise and soft-IDF once per
     batch instead of once per pair.
@@ -441,30 +433,31 @@ def test_e4_columnar_scoring(benchmark, request):
         # -- per-pair reference: the pre-columnar scoring loop ------------------
         row_tuples = combined.rows
         started = time.perf_counter()
+        oracle = ReferenceScorer(measure)
         reference = []
         reference_pruned = 0
         for i, j in pairs:
-            if measure.upper_bound(row_tuples[i], row_tuples[j]) < COLUMNAR_THRESHOLD:
+            if oracle.upper_bound(row_tuples[i], row_tuples[j]) < COLUMNAR_THRESHOLD:
                 reference_pruned += 1
                 continue
             reference.append(
-                (i, j, measure.compare_rows(row_tuples[i], row_tuples[j]))
+                (i, j, oracle.compare_rows(row_tuples[i], row_tuples[j]))
             )
         perpair_s = time.perf_counter() - started
 
-        # -- batched columnar kernels (what the executors now run) --------------
+        # -- batched columnar kernels (what score_pairs runs) -------------------
         started = time.perf_counter()
-        batch = ScoringBatch.from_generator(generator, combined)
-        result = score_batch(batch, pairs)
+        scores, pruned = score_chunk(
+            ColumnarPairScorer(measure, combined), COLUMNAR_THRESHOLD, False, pairs
+        )
         batched_s = time.perf_counter() - started
 
         # bit-identical parity: same floats, same pruning decisions
         assert [
             (score.left_index, score.right_index, score.similarity)
-            for score in result.scores
+            for score in scores
         ] == reference
-        assert result.pruned == reference_pruned
-        assert result.considered == len(pairs)
+        assert pruned == reference_pruned
 
         speedup = perpair_s / batched_s if batched_s > 0 else float("inf")
         if entities >= COLUMNAR_SPEEDUP_ENTITIES:
@@ -508,15 +501,16 @@ def test_e4_columnar_scoring(benchmark, request):
             )
 
     smoke = prepare_students(sizes[0] if sizes[0] <= 500 else 120)
+    smoke_measure = DuplicateSimilarityMeasure(select_interesting_attributes(smoke)).fit(
+        smoke
+    )
     smoke_generator = CandidatePairGenerator(
-        DuplicateSimilarityMeasure(select_interesting_attributes(smoke)).fit(smoke),
-        filter_threshold=COLUMNAR_THRESHOLD,
-        blocking="token",
+        smoke_measure, filter_threshold=COLUMNAR_THRESHOLD, blocking="token"
     )
     smoke_pairs = list(smoke_generator.candidate_indices(smoke))
     benchmark.pedantic(
-        lambda: score_batch(
-            ScoringBatch.from_generator(smoke_generator, smoke), smoke_pairs
+        lambda: score_chunk(
+            ColumnarPairScorer(smoke_measure, smoke), COLUMNAR_THRESHOLD, False, smoke_pairs
         ),
         rounds=1,
         iterations=1,

@@ -19,7 +19,8 @@ def pytest_addoption(parser):
         action="store",
         type=int,
         default=2,
-        help="worker processes for the E4 parallel-scoring series",
+        help="scoring workers (DedupConfig.workers) for the pool side of the "
+        "E4 parallel-scoring series",
     )
     group.addoption(
         "--e4-entities",

@@ -120,20 +120,13 @@ def _add_prepare_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
         help="worker processes for candidate-pair scoring (1 or omitted = "
-        "serial; N>1 = multiprocess with N workers)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="candidate pairs per scoring batch (only with --workers N>1; "
-        "default splits the candidates into ~4 batches per worker)",
+        "in-process; N>1 = a pool of N processes for large candidate sets)",
     )
 
 
@@ -212,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_argument(fuse)
     _add_blocking_arguments(fuse)
     _add_clustering_arguments(fuse)
-    _add_executor_arguments(fuse)
+    _add_workers_argument(fuse)
     _add_prepare_arguments(fuse)
 
     demo = subparsers.add_parser("demo", help="run a built-in scenario on generated data")
@@ -226,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_argument(demo)
     _add_blocking_arguments(demo)
     _add_clustering_arguments(demo)
-    _add_executor_arguments(demo)
+    _add_workers_argument(demo)
     _add_prepare_arguments(demo)
 
     serve = subparsers.add_parser(
@@ -358,7 +351,7 @@ def _command_demo(args) -> int:
         f"{statistics.blocking_candidates} of "
         f"{statistics.total_pairs} possible pairs proposed, "
         f"{statistics.compared} compared in full "
-        f"(scoring: {hummer.detector.executor.name})"
+        f"(scoring workers: {hummer.detector.workers or 1})"
     )
     _print_prepare_report(result)
     _print_blocking_plan(statistics)

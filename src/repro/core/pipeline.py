@@ -312,8 +312,8 @@ class FusionPipeline:
         values (providers are installed on the blocking strategy only for
         the duration of this step).
 
-        *progress_callback* is invoked by the scoring executor as candidate
-        batches complete — ``("pairs_scored", done, total)``, cumulative over
+        *progress_callback* is invoked as scored candidate chunks are
+        merged — ``("pairs_scored", done, total)``, cumulative over
         the run — mirroring the fusion operator's group-at-a-time stream.
         """
         # with_overrides carries every detector field over automatically, so

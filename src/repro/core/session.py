@@ -638,8 +638,8 @@ class FusionSession:
             return None, {"skipped": True}
         counters: Dict[str, int] = {"pairs_scored": 0, "score_batches": 0}
 
-        # The executor reports cumulative pairs per completed batch (one
-        # batch for the serial path, one per merged chunk for the pool).
+        # Scoring reports cumulative pairs per merged chunk (one chunk
+        # in-process, about four per worker in a pool).
         def forward(phase: str, done: int, total: int) -> None:
             counters["score_batches"] += 1
             counters["pairs_scored"] = done

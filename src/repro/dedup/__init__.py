@@ -11,10 +11,9 @@ by schema matching:
    :mod:`repro.dedup.filters` — a pluggable blocking strategy proposes
    candidate tuple pairs (all pairs, sorted-neighborhood windows or a token
    inverted index) which are then pruned with a cheap upper bound on the
-   similarity measure, so only promising pairs are compared in full.
-   :mod:`repro.dedup.executor` makes *where* the surviving pairs are scored
-   pluggable too: in-process (serial) or across a process pool
-   (multiprocess), with identical results either way.
+   similarity measure, so only promising pairs are compared in full —
+   in-process, or across a process pool with ``workers > 1``, with
+   identical results either way.
 3. :mod:`repro.dedup.similarity_measure` — the full measure accounts for
    matched vs. unmatched attributes, data similarity (edit / numeric
    distance), the identifying power of a value (soft IDF) and treats
@@ -41,16 +40,9 @@ from repro.dedup.blocking import (
     resolve_blocking,
 )
 from repro.dedup.descriptions import AttributeSelection, select_interesting_attributes
-from repro.dedup.executor import (
-    MultiprocessExecutor,
-    ScoringExecutor,
-    SerialExecutor,
-    executor_for_workers,
-    resolve_executor,
-)
 from repro.dedup.enrichment import RelationshipSpec, enrich_with_children
 from repro.dedup.similarity_measure import DuplicateSimilarityMeasure, PairEvidence
-from repro.dedup.filters import UpperBoundFilter, FilterStatistics
+from repro.dedup.filters import FilterStatistics
 from repro.dedup.pairs import CandidatePairGenerator, PairScore
 from repro.dedup.clustering import UnionFind, transitive_closure_clusters
 from repro.dedup.graphcluster import (
@@ -75,18 +67,12 @@ __all__ = [
     "BlockingPlan",
     "profile_relation",
     "resolve_blocking",
-    "ScoringExecutor",
-    "SerialExecutor",
-    "MultiprocessExecutor",
-    "resolve_executor",
-    "executor_for_workers",
     "AttributeSelection",
     "select_interesting_attributes",
     "RelationshipSpec",
     "enrich_with_children",
     "DuplicateSimilarityMeasure",
     "PairEvidence",
-    "UpperBoundFilter",
     "FilterStatistics",
     "CandidatePairGenerator",
     "PairScore",

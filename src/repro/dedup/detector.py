@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dedup.blocking import BlockingSpec, resolve_blocking
 from repro.dedup.classification import ClassifiedPairs, classify_pairs
-from repro.dedup.executor import ExecutorSpec, resolve_executor
 from repro.dedup.graphcluster import (
     ClusteringReport,
     ClusteringSpec,
@@ -104,14 +103,13 @@ class DuplicateDetector:
             :class:`~repro.dedup.graphcluster.ClusteringStrategy` instance, a
             name (``"transitive"``, ``"graph"``, ``"biclique"``) or ``None``
             for the paper's transitive-closure baseline.
-        executor: pair-scoring executor — a
-            :class:`~repro.dedup.executor.ScoringExecutor` instance, a name
-            (``"serial"``, ``"multiprocess"``) or ``None`` for the in-process
-            serial baseline.
+        workers: worker processes for pair scoring (``None`` or 1 = in the
+            calling process; N > 1 fans large candidate sets out over a pool
+            of N processes with identical results).
 
     The plain :attr:`progress_callback` attribute (not a constructor field,
     so :meth:`with_overrides` copies stay clean) is handed to the candidate
-    generator: executors invoke it as scoring batches complete —
+    generator, which invokes it as scored chunks are merged —
     ``("pairs_scored", cumulative_pairs, total_candidates)``.
     """
 
@@ -129,10 +127,12 @@ class DuplicateDetector:
         keep_evidence: bool = False,
         blocking: BlockingSpec = None,
         clustering: ClusteringSpec = None,
-        executor: ExecutorSpec = None,
+        workers: Optional[int] = None,
     ):
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be at least 1")
         self.threshold = threshold
         self.uncertainty_band = uncertainty_band
         self.use_filter = use_filter
@@ -142,7 +142,7 @@ class DuplicateDetector:
         self.keep_evidence = keep_evidence
         self.blocking = resolve_blocking(blocking)
         self.clustering = resolve_clustering(clustering)
-        self.executor = resolve_executor(executor)
+        self.workers = workers
 
     def with_overrides(self, **overrides) -> "DuplicateDetector":
         """A copy of this detector with the given constructor fields replaced.
@@ -185,7 +185,7 @@ class DuplicateDetector:
             cross_source_only=self.cross_source_only,
             keep_evidence=self.keep_evidence,
             blocking=self.blocking,
-            executor=self.executor,
+            workers=self.workers,
             progress_callback=self.progress_callback,
         )
         scores = generator.score_pairs(relation)
@@ -200,7 +200,7 @@ class DuplicateDetector:
             classified=classified,
             scores=scores,
             selection=selection,
-            filter_statistics=generator.filter.statistics,
+            filter_statistics=generator.statistics,
             clustering_report=report,
         )
 

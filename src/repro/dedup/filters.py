@@ -1,22 +1,20 @@
-"""Comparison-pruning filter.
+"""Pruning counters of candidate generation.
 
 "The number of pairwise comparisons are reduced by applying a filter (upper
 bound to the similarity measure) and comparing only the remaining pairs."
 (paper §2.3)
 
-:class:`UpperBoundFilter` wraps the measure's cheap upper bound and keeps
-statistics so experiment E2 can report how many full comparisons the filter
-saved.
+The bound itself is :meth:`ColumnarPairScorer.upper_bound`; the candidate
+generator applies it and keeps the :class:`FilterStatistics` below, so
+experiment E2 can report how many full comparisons the filter saved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
-from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
-
-__all__ = ["FilterStatistics", "UpperBoundFilter"]
+__all__ = ["FilterStatistics"]
 
 
 @dataclass
@@ -93,28 +91,3 @@ class FilterStatistics:
         self.considered = 0
         self.pruned = 0
         self.blocking_plan = None
-
-
-class UpperBoundFilter:
-    """Prunes candidate pairs whose upper-bound similarity is below the threshold.
-
-    Because the bound is an over-estimate of the true similarity, pruning a
-    pair can never remove a true duplicate that the full measure would have
-    accepted at the same threshold.
-    """
-
-    def __init__(self, measure: DuplicateSimilarityMeasure, threshold: float, enabled: bool = True):
-        self.measure = measure
-        self.threshold = threshold
-        self.enabled = enabled
-        self.statistics = FilterStatistics()
-
-    def passes(self, left: Sequence, right: Sequence) -> bool:
-        """Whether the pair survives the filter (True = compare it in full)."""
-        self.statistics.considered += 1
-        if not self.enabled:
-            return True
-        if self.measure.upper_bound(left, right) >= self.threshold:
-            return True
-        self.statistics.pruned += 1
-        return False

@@ -5,27 +5,44 @@ tuple pairs to look at (all pairs by default, sorted-neighborhood or token
 blocking for near-linear scaling), the cross-source rule drops pairs whose
 tuples share a source (when duplicates within one source are impossible by
 assumption), the upper-bound filter prunes hopeless pairs and the survivors
-are scored with the full measure.  A pluggable
-:class:`~repro.dedup.executor.ScoringExecutor` decides *where* the filter and
-the full measure run — in-process (serial baseline) or fanned out over a
-process pool.
+are scored with the full measure.
+
+Filtering and scoring run through one pure chunk function,
+:func:`score_chunk`, over a :class:`ColumnarPairScorer` — in the calling
+process, or fanned out over a process pool when ``workers > 1`` and there
+are at least :data:`MIN_PARALLEL_PAIRS` candidates.  Chunks are contiguous
+slices of the candidate list merged back in order, so the scores and the
+:class:`FilterStatistics` are identical either way.
 """
 
 from __future__ import annotations
 
+import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dedup.blocking import BlockingSpec, BlockingStrategy, resolve_blocking
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.dedup.executor import ExecutorSpec
-from repro.dedup.filters import UpperBoundFilter
-from repro.dedup.similarity_measure import DuplicateSimilarityMeasure, PairEvidence
+from repro.dedup.filters import FilterStatistics
+from repro.dedup.similarity_measure import (
+    ColumnarPairScorer,
+    DuplicateSimilarityMeasure,
+    PairEvidence,
+)
 from repro.engine.relation import Relation
 from repro.engine.types import is_null
 
-__all__ = ["PairScore", "CandidatePairGenerator"]
+__all__ = ["PairScore", "CandidatePairGenerator", "MIN_PARALLEL_PAIRS", "score_chunk"]
+
+#: Below this many candidate pairs scoring stays in-process even with
+#: ``workers > 1``: starting a pool for a few hundred pairs costs more than
+#: it saves.
+MIN_PARALLEL_PAIRS = 2048
+
+#: Chunks per worker when scoring fans out: large enough to amortise
+#: dispatch, small enough to keep the pool busy when chunk runtimes vary
+#: (blocks of near-duplicates filter less and score slower than random pairs).
+CHUNKS_PER_WORKER = 4
 
 
 @dataclass
@@ -40,6 +57,58 @@ class PairScore:
     def as_tuple(self) -> Tuple[int, int]:
         """The index pair, smaller index first."""
         return (self.left_index, self.right_index)
+
+
+def score_chunk(
+    scorer: ColumnarPairScorer,
+    filter_threshold: Optional[float],
+    keep_evidence: bool,
+    pairs: Sequence[Tuple[int, int]],
+) -> Tuple[List[PairScore], int]:
+    """Filter and score one slice of candidate pairs.
+
+    Pure function of its arguments, so the calling process and pool workers
+    run the same code.  Pairs whose upper bound falls below
+    *filter_threshold* are pruned (``None`` disables the filter); the
+    survivors are scored in one attribute-major batch.  Returns the scores
+    in candidate order and the number of pruned pairs.
+    """
+    if filter_threshold is None:
+        survivors = pairs
+    else:
+        survivors = [
+            pair for pair in pairs if scorer.upper_bound(pair[0], pair[1]) >= filter_threshold
+        ]
+    if keep_evidence:
+        scores = [
+            PairScore(i, j, evidence.similarity, evidence)
+            for (i, j), evidence in zip(survivors, scorer.explain(survivors))
+        ]
+    else:
+        scores = [
+            PairScore(i, j, similarity)
+            for (i, j), similarity in zip(survivors, scorer.similarities(survivors))
+        ]
+    return scores, len(pairs) - len(survivors)
+
+
+def chunk_size(pair_count: int, workers: int) -> int:
+    """Pairs per chunk when *pair_count* candidates fan out over *workers*."""
+    return max(1, math.ceil(pair_count / (workers * CHUNKS_PER_WORKER)))
+
+
+#: ``score_chunk``'s fixed arguments, installed once per pool worker by the
+#: initializer, so the scorer is shipped per worker rather than per chunk.
+_worker_arguments: Optional[Tuple[ColumnarPairScorer, Optional[float], bool]] = None
+
+
+def _install_worker(*arguments) -> None:
+    global _worker_arguments
+    _worker_arguments = arguments
+
+
+def _score_in_worker(pairs: Sequence[Tuple[int, int]]) -> Tuple[List[PairScore], int]:
+    return score_chunk(*_worker_arguments, pairs)
 
 
 class CandidatePairGenerator:
@@ -57,11 +126,10 @@ class CandidatePairGenerator:
         blocking: a :class:`BlockingStrategy`, a strategy name
             (``"allpairs"``, ``"snm"``, ``"token"``, ``"union:snm+token"``,
             ``"adaptive"``) or ``None`` for the exact all-pairs baseline.
-        executor: a :class:`~repro.dedup.executor.ScoringExecutor`, an
-            executor name (``"serial"``, ``"multiprocess"``) or ``None`` for
-            the in-process serial baseline.
-        progress_callback: optional ``(phase, done, total)`` callable the
-            executor invokes as scoring batches complete
+        workers: worker processes for filtering and scoring (``None`` or 1
+            scores in the calling process).
+        progress_callback: optional ``(phase, done, total)`` callable invoked
+            as scored chunks are merged
             (``("pairs_scored", cumulative_pairs, total_candidates)``) — the
             dedup counterpart of the matcher's and fusion operator's
             intra-step progress streams.
@@ -76,25 +144,20 @@ class CandidatePairGenerator:
         source_column: str = "sourceID",
         keep_evidence: bool = False,
         blocking: BlockingSpec = None,
-        executor: "ExecutorSpec" = None,
+        workers: Optional[int] = None,
         progress_callback: Optional[Callable[[str, int, int], None]] = None,
     ):
-        # imported here because the executor package imports PairScore
-        from repro.dedup.executor import resolve_executor
-
         self.measure = measure
-        self.filter = UpperBoundFilter(measure, filter_threshold, enabled=use_filter)
+        self.filter_threshold = filter_threshold
+        self.use_filter = use_filter
+        #: Counters of every pruning stage (blocking, cross-source, filter).
+        self.statistics = FilterStatistics()
         self.cross_source_only = cross_source_only
         self.source_column = source_column
         self.keep_evidence = keep_evidence
         self.blocking: BlockingStrategy = resolve_blocking(blocking)
-        self.executor = resolve_executor(executor)
+        self.workers = workers
         self.progress_callback = progress_callback
-
-    @property
-    def statistics(self):
-        """The shared :class:`FilterStatistics` covering every pruning stage."""
-        return self.filter.statistics
 
     def blocking_attributes(self, relation: Relation) -> List[str]:
         """The selected attributes present in *relation* — the blocking keys.
@@ -142,8 +205,46 @@ class CandidatePairGenerator:
     def score_pairs(self, relation: Relation) -> List[PairScore]:
         """Filter and score every candidate pair of *relation*.
 
-        Delegates to the configured executor; the serial baseline streams
-        pairs through the shared filter in-process, the multiprocess executor
-        fans batches out and merges scores and statistics deterministically.
+        Candidates are enumerated in the calling process; with ``workers > 1``
+        and at least :data:`MIN_PARALLEL_PAIRS` of them, contiguous chunks
+        (about :data:`CHUNKS_PER_WORKER` per worker) are scored in a process
+        pool and merged in candidate order.
         """
-        return self.executor.score_pairs(self, relation)
+        scorer = ColumnarPairScorer(self.measure, relation)
+        pairs = list(self.candidate_indices(relation))
+        arguments = (
+            scorer,
+            self.filter_threshold if self.use_filter else None,
+            self.keep_evidence,
+        )
+        workers = self.workers or 1
+        if workers <= 1 or len(pairs) < max(MIN_PARALLEL_PAIRS, 2):
+            return self._merge([score_chunk(*arguments, pairs)], len(pairs))
+        size = chunk_size(len(pairs), workers)
+        chunks = [pairs[start : start + size] for start in range(0, len(pairs), size)]
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(chunks)),
+            initializer=_install_worker,
+            initargs=arguments,
+        ) as pool:
+            return self._merge(pool.map(_score_in_worker, chunks), len(pairs))
+
+    def _merge(
+        self, results: Iterable[Tuple[List[PairScore], int]], total: int
+    ) -> List[PairScore]:
+        """Fold chunk results, in candidate order, into one score list.
+
+        Each chunk adds its considered and pruned pairs to :attr:`statistics`
+        and reports cumulative progress.
+        """
+        scored: List[PairScore] = []
+        done = 0
+        for scores, pruned in results:
+            considered = len(scores) + pruned
+            self.statistics.considered += considered
+            self.statistics.pruned += pruned
+            scored.extend(scores)
+            done += considered
+            if self.progress_callback is not None:
+                self.progress_callback("pairs_scored", done, total)
+        return scored

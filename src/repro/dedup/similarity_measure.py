@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dedup.descriptions import AttributeSelection
 from repro.engine.relation import Relation
@@ -54,6 +54,10 @@ class PairEvidence:
 
 class DuplicateSimilarityMeasure:
     """Soft-IDF weighted, contradiction-aware tuple similarity.
+
+    The measure holds the fitted state — value frequencies (soft IDF),
+    numeric ranges and column positions — and the per-attribute similarity;
+    :class:`ColumnarPairScorer` applies it to pairs of rows.
 
     Args:
         selection: the attributes to compare (from the heuristics or the user).
@@ -90,21 +94,6 @@ class DuplicateSimilarityMeasure:
         self._numeric_scales: Dict[str, float] = {}
         self._row_count = 0
         self._positions: Dict[str, int] = {}
-        self._trigram_cache: Dict[int, frozenset] = {}
-
-    # -- pickling ----------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Picklable snapshot for parallel scoring workers.
-
-        The trigram cache is keyed by row-tuple hashes and can grow to one
-        entry per row; shipping it to workers would multiply the snapshot
-        size for no benefit (workers rebuild it lazily for exactly the rows
-        they touch), so it is dropped here.
-        """
-        state = self.__dict__.copy()
-        state["_trigram_cache"] = {}
-        return state
 
     # -- fitting -----------------------------------------------------------------
 
@@ -163,39 +152,6 @@ class DuplicateSimilarityMeasure:
 
     # -- comparison ----------------------------------------------------------------
 
-    def compare_rows(self, left: Sequence, right: Sequence) -> float:
-        """Similarity of two raw row tuples (requires :meth:`fit`)."""
-        return self.explain_rows(left, right).similarity
-
-    def explain_rows(self, left: Sequence, right: Sequence) -> PairEvidence:
-        """Similarity plus per-attribute evidence for two raw row tuples."""
-        weighted_sum = 0.0
-        weight_total = 0.0
-        evidence = PairEvidence(similarity=0.0)
-        for attribute, position in self._positions.items():
-            left_value = left[position]
-            right_value = right[position]
-            left_missing = is_null(left_value)
-            right_missing = is_null(right_value)
-            if left_missing or right_missing:
-                # (iv) missing data has no influence on similarity
-                evidence.missing_attributes.append(attribute)
-                continue
-            similarity = self._attribute_similarity(attribute, left_value, right_value)
-            idf = max(
-                self.soft_idf(attribute, left_value), self.soft_idf(attribute, right_value)
-            )
-            weight = self.selection.weights.get(attribute, 1.0) * (0.25 + 0.75 * idf)
-            weighted_sum += weight * similarity
-            weight_total += weight
-            evidence.per_attribute[attribute] = similarity
-            if similarity < self.contradiction_threshold:
-                evidence.contradicting_attributes.append(attribute)
-            else:
-                evidence.matched_attributes.append(attribute)
-        evidence.similarity = weighted_sum / weight_total if weight_total > 0 else 0.0
-        return evidence
-
     def _attribute_similarity(self, attribute: str, left, right) -> float:
         """Per-attribute similarity: range-scaled for numbers, sharpened overall."""
         both_numeric = (
@@ -214,108 +170,43 @@ class DuplicateSimilarityMeasure:
             return raw
         return raw ** self.sharpness
 
-    # -- upper bound (for the filter) -------------------------------------------------
-
-    def upper_bound(self, left: Sequence, right: Sequence) -> float:
-        """Cheap upper bound on :meth:`compare_rows`.
-
-        Character-trigram overlap of the whole tuples, plus a constant slack:
-        two tuples whose selected values share almost no trigrams cannot reach
-        a high value-similarity under the full measure, while typo'd
-        duplicates still share most of their trigrams.  Trigram sets are
-        cached per row, so the bound is an order of magnitude cheaper than the
-        full comparison — this is the "filter (upper bound to the similarity
-        measure)" of §2.3.
-        """
-        left_grams = self._row_trigrams(left)
-        right_grams = self._row_trigrams(right)
-        if not left_grams or not right_grams:
-            return 1.0  # nothing to prune on — cannot rule the pair out
-        overlap = len(left_grams & right_grams)
-        smaller = min(len(left_grams), len(right_grams))
-        # constant slack allows for similar-but-not-identical characters
-        return min(1.0, overlap / smaller + 0.3)
-
-    # -- batched columnar scoring ----------------------------------------------------
-
-    def columnar_scorer(
-        self,
-        columns: Mapping[str, List],
-        null_masks: Optional[Mapping[str, bytes]] = None,
-    ) -> "ColumnarPairScorer":
-        """A batch pair scorer over the fitted attributes' *columns*.
-
-        *columns* maps each :attr:`fitted_attributes` name to its full values
-        list (row-index order of the relation being deduplicated);
-        *null_masks* optionally supplies the matching cached null masks.  The
-        scorer's results are bit-identical to the per-pair reference APIs
-        (:meth:`compare_rows` / :meth:`explain_rows` / :meth:`upper_bound`) —
-        see :class:`ColumnarPairScorer`.
-        """
-        return ColumnarPairScorer(self, columns, null_masks)
-
-    def _row_trigrams(self, values: Sequence) -> frozenset:
-        key = None
-        try:
-            key = hash(tuple(values))
-        except TypeError:
-            key = None
-        if key is not None and key in self._trigram_cache:
-            return self._trigram_cache[key]
-        grams = set()
-        for attribute, position in self._positions.items():
-            value = values[position]
-            if is_null(value):
-                continue
-            text = self._normalise(value)
-            padded = f"  {text} "
-            grams.update(padded[i : i + 3] for i in range(len(padded) - 2))
-        result = frozenset(grams)
-        if key is not None:
-            self._trigram_cache[key] = result
-        return result
-
 
 class ColumnarPairScorer:
-    """Batch pair scorer over the selected columns of one relation.
+    """Filter bound and full measure over the selected columns of one relation.
 
-    The per-pair reference path (:meth:`DuplicateSimilarityMeasure.explain_rows`)
-    re-derives everything from raw row tuples on every call: null checks, value
-    normalisation, soft-IDF lookups, per-attribute similarities.  Candidate
-    batches repeat all of it massively — blocking groups similar tuples, so the
-    same cells and the same (value, value) pairs recur across pairs.  This
-    scorer works **attribute-major** over zero-copy column lists and memoises
-    every pure leaf across the whole batch:
+    This is the one pair-scoring implementation.  It works
+    **attribute-major** over zero-copy column lists and memoises every pure
+    leaf across all the pairs it scores — blocking groups similar tuples, so
+    the same cells and the same (value, value) pairs recur across pairs:
 
-    * per-row trigram sets (the upper-bound filter), keyed by row index —
-      no tuple hashing;
+    * per-row trigram sets (the upper-bound filter), keyed by row index;
     * per-attribute cell-pair similarities, keyed by the cell values (with
       their types, mirroring the cross-type care of ``content_key``);
     * per-attribute soft-IDF weights, keyed by the cell value.
 
     **Bit-identity**: memoisation only short-circuits pure functions of the
-    measure's fitted state, and the per-pair weighted accumulation runs in the
-    same attribute order as ``explain_rows``, so every returned float is
-    byte-identical to the per-pair loop.  Parity is asserted by the executor
-    test suite and bench E4's columnar series.
+    measure's fitted state, and each pair's weighted accumulation runs in
+    the measure's attribute order, so every returned float is byte-identical
+    to scoring the pair on its own.  The per-pair oracle in
+    ``tests/dedup/reference_scoring.py`` and bench E4's columnar series
+    assert it.
+
+    The scorer pickles (for pool workers) as long as it is shipped before
+    use; its memo tables then travel empty.
     """
 
-    def __init__(
-        self,
-        measure: DuplicateSimilarityMeasure,
-        columns: Mapping[str, List],
-        null_masks: Optional[Mapping[str, bytes]] = None,
-    ):
+    def __init__(self, measure: DuplicateSimilarityMeasure, relation: Relation):
         self.measure = measure
         #: per attribute: (name, values, null mask, selection weight)
-        self._attributes: List[Tuple[str, List, bytes, float]] = []
-        for attribute in measure._positions:
-            column = columns[attribute]
-            mask = null_masks.get(attribute) if null_masks else None
-            if mask is None:
-                mask = bytes(1 if is_null(value) else 0 for value in column)
-            weight = measure.selection.weights.get(attribute, 1.0)
-            self._attributes.append((attribute, column, mask, weight))
+        self._attributes: List[Tuple[str, List, bytes, float]] = [
+            (
+                attribute,
+                relation.column(attribute),
+                relation.null_mask(attribute),
+                measure.selection.weights.get(attribute, 1.0),
+            )
+            for attribute in measure.fitted_attributes
+        ]
         self._similarity_caches: List[Dict] = [{} for _ in self._attributes]
         self._idf_caches: List[Dict] = [{} for _ in self._attributes]
         self._trigram_sets: Dict[int, frozenset] = {}
@@ -323,14 +214,21 @@ class ColumnarPairScorer:
     # -- upper bound ---------------------------------------------------------------
 
     def upper_bound(self, left_index: int, right_index: int) -> float:
-        """Bit-identical to :meth:`DuplicateSimilarityMeasure.upper_bound`,
-        with trigram sets cached per row index (no tuple hashing)."""
+        """Cheap upper bound on the full similarity of two rows.
+
+        Character-trigram overlap of the rows' selected values, plus a
+        constant slack: two tuples whose values share almost no trigrams
+        cannot reach a high similarity under the full measure, while typo'd
+        duplicates still share most of their trigrams.  This is the "filter
+        (upper bound to the similarity measure)" of paper §2.3.
+        """
         left_grams = self._trigrams(left_index)
         right_grams = self._trigrams(right_index)
         if not left_grams or not right_grams:
-            return 1.0
+            return 1.0  # nothing to prune on — cannot rule the pair out
         overlap = len(left_grams & right_grams)
         smaller = min(len(left_grams), len(right_grams))
+        # constant slack allows for similar-but-not-identical characters
         return min(1.0, overlap / smaller + 0.3)
 
     def _trigrams(self, index: int) -> frozenset:
@@ -353,51 +251,50 @@ class ColumnarPairScorer:
 
     def similarities(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
         """Similarity per pair, computed attribute-major over the batch."""
-        per_attribute = [
-            self._attribute_batch(slot, pairs) for slot in range(len(self._attributes))
-        ]
-        scores: List[float] = []
-        for k in range(len(pairs)):
-            weighted_sum = 0.0
-            weight_total = 0.0
-            for cells in per_attribute:
-                cell = cells[k]
-                if cell is None:
-                    continue
-                similarity, weight = cell
-                weighted_sum += weight * similarity
-                weight_total += weight
-            scores.append(weighted_sum / weight_total if weight_total > 0 else 0.0)
-        return scores
+        return self._accumulate(pairs, explain=False)
 
     def explain(self, pairs: Sequence[Tuple[int, int]]) -> List[PairEvidence]:
         """Per-pair :class:`PairEvidence`, attribute-major over the batch."""
+        return self._accumulate(pairs, explain=True)
+
+    def _accumulate(self, pairs: Sequence[Tuple[int, int]], explain: bool) -> List:
+        """Each pair's weighted average over the attributes both rows carry.
+
+        Missing values are neutral; present values below the measure's
+        contradiction threshold are recorded as contradicting (evidence only).
+        """
         per_attribute = [
             self._attribute_batch(slot, pairs) for slot in range(len(self._attributes))
         ]
+        names = [attribute for attribute, _, _, _ in self._attributes]
         threshold = self.measure.contradiction_threshold
-        explained: List[PairEvidence] = []
+        results: List = []
         for k in range(len(pairs)):
-            evidence = PairEvidence(similarity=0.0)
+            evidence = PairEvidence(similarity=0.0) if explain else None
             weighted_sum = 0.0
             weight_total = 0.0
-            for slot, cells in enumerate(per_attribute):
-                attribute = self._attributes[slot][0]
+            for attribute, cells in zip(names, per_attribute):
                 cell = cells[k]
                 if cell is None:
-                    evidence.missing_attributes.append(attribute)
+                    if evidence is not None:
+                        evidence.missing_attributes.append(attribute)
                     continue
                 similarity, weight = cell
                 weighted_sum += weight * similarity
                 weight_total += weight
-                evidence.per_attribute[attribute] = similarity
-                if similarity < threshold:
-                    evidence.contradicting_attributes.append(attribute)
-                else:
-                    evidence.matched_attributes.append(attribute)
-            evidence.similarity = weighted_sum / weight_total if weight_total > 0 else 0.0
-            explained.append(evidence)
-        return explained
+                if evidence is not None:
+                    evidence.per_attribute[attribute] = similarity
+                    if similarity < threshold:
+                        evidence.contradicting_attributes.append(attribute)
+                    else:
+                        evidence.matched_attributes.append(attribute)
+            similarity = weighted_sum / weight_total if weight_total > 0 else 0.0
+            if evidence is None:
+                results.append(similarity)
+            else:
+                evidence.similarity = similarity
+                results.append(evidence)
+        return results
 
     def _attribute_batch(
         self, slot: int, pairs: Sequence[Tuple[int, int]]

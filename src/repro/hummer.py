@@ -59,7 +59,7 @@ class HumMer:
     Args:
         config: the declarative configuration tree
             (:class:`repro.config.FusionConfig`) — matching knobs, dedup
-            threshold / blocking / executor, preparation mode and artifact
+            threshold / blocking / workers, preparation mode and artifact
             directory, default resolutions.  Defaults to a stock tree.
         matcher: schema-matcher *instance* override (object injection; wins
             over ``config.matching``).

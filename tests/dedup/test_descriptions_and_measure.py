@@ -5,6 +5,7 @@ import pytest
 from repro.dedup.descriptions import AttributeSelection, select_interesting_attributes
 from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
 from repro.engine.relation import Relation
+from tests.dedup.reference_scoring import ReferenceScorer
 
 
 @pytest.fixture
@@ -67,32 +68,37 @@ class TestAttributeSelection:
 
 
 class TestDuplicateSimilarityMeasure:
+    """The measure's behaviour, scored pair by pair through the oracle."""
+
     def make_measure(self, relation, **kwargs):
         selection = select_interesting_attributes(relation)
         return DuplicateSimilarityMeasure(selection, **kwargs).fit(relation)
 
+    def make_scorer(self, relation, **kwargs):
+        return ReferenceScorer(self.make_measure(relation, **kwargs))
+
     def test_identical_rows_score_one(self, dirty_people):
-        measure = self.make_measure(dirty_people)
+        scorer = self.make_scorer(dirty_people)
         row = dirty_people.rows[0]
-        assert measure.compare_rows(row, row) == pytest.approx(1.0)
+        assert scorer.compare_rows(row, row) == pytest.approx(1.0)
 
     def test_typo_duplicate_scores_higher_than_different_person(self, dirty_people):
-        measure = self.make_measure(dirty_people)
+        scorer = self.make_scorer(dirty_people)
         rows = dirty_people.rows
-        duplicate_score = measure.compare_rows(rows[0], rows[1])
-        different_score = measure.compare_rows(rows[0], rows[2])
+        duplicate_score = scorer.compare_rows(rows[0], rows[1])
+        different_score = scorer.compare_rows(rows[0], rows[2])
         assert duplicate_score > 0.75
         assert different_score < duplicate_score
 
     def test_missing_values_are_neutral(self, dirty_people):
-        measure = self.make_measure(dirty_people)
-        evidence = measure.explain_rows(dirty_people.rows[0], dirty_people.rows[1])
+        scorer = self.make_scorer(dirty_people)
+        evidence = scorer.explain_rows(dirty_people.rows[0], dirty_people.rows[1])
         # "sparse" is not selected at all; nothing about missing data lowers the score
         assert evidence.similarity > 0.75
 
     def test_explain_reports_contradictions(self, dirty_people):
-        measure = self.make_measure(dirty_people)
-        evidence = measure.explain_rows(dirty_people.rows[0], dirty_people.rows[2])
+        scorer = self.make_scorer(dirty_people)
+        evidence = scorer.explain_rows(dirty_people.rows[0], dirty_people.rows[2])
         assert "name" in evidence.contradicting_attributes or "name" in evidence.per_attribute
 
     def test_soft_idf_rare_values_weigh_more(self, dirty_people):
@@ -106,11 +112,11 @@ class TestDuplicateSimilarityMeasure:
         assert measure.soft_idf("city", None) == 0.0
 
     def test_upper_bound_never_below_true_similarity(self, dirty_people):
-        measure = self.make_measure(dirty_people)
+        scorer = self.make_scorer(dirty_people)
         rows = dirty_people.rows
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
-                assert measure.upper_bound(rows[i], rows[j]) >= measure.compare_rows(
+                assert scorer.upper_bound(rows[i], rows[j]) >= scorer.compare_rows(
                     rows[i], rows[j]
                 ) - 1e-9
 
@@ -127,17 +133,21 @@ class TestDuplicateSimilarityMeasure:
 
     def test_sharpness_one_reproduces_raw_similarity(self, dirty_people):
         selection = select_interesting_attributes(dirty_people)
-        soft = DuplicateSimilarityMeasure(selection, sharpness=1.0).fit(dirty_people)
-        sharp = DuplicateSimilarityMeasure(selection, sharpness=3.0).fit(dirty_people)
+        soft = ReferenceScorer(
+            DuplicateSimilarityMeasure(selection, sharpness=1.0).fit(dirty_people)
+        )
+        sharp = ReferenceScorer(
+            DuplicateSimilarityMeasure(selection, sharpness=3.0).fit(dirty_people)
+        )
         rows = dirty_people.rows
         assert soft.compare_rows(rows[0], rows[2]) >= sharp.compare_rows(rows[0], rows[2])
 
     def test_unknown_columns_in_selection_are_ignored(self, dirty_people):
         selection = AttributeSelection(attributes=["name", "ghost_column"])
-        measure = DuplicateSimilarityMeasure(selection).fit(dirty_people)
-        assert measure.compare_rows(dirty_people.rows[0], dirty_people.rows[0]) == 1.0
+        scorer = ReferenceScorer(DuplicateSimilarityMeasure(selection).fit(dirty_people))
+        assert scorer.compare_rows(dirty_people.rows[0], dirty_people.rows[0]) == 1.0
 
     def test_empty_selection_scores_zero(self, dirty_people):
         selection = AttributeSelection(attributes=[])
-        measure = DuplicateSimilarityMeasure(selection).fit(dirty_people)
-        assert measure.compare_rows(dirty_people.rows[0], dirty_people.rows[1]) == 0.0
+        scorer = ReferenceScorer(DuplicateSimilarityMeasure(selection).fit(dirty_people))
+        assert scorer.compare_rows(dirty_people.rows[0], dirty_people.rows[1]) == 0.0

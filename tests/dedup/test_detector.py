@@ -5,7 +5,6 @@ import pytest
 from repro.dedup.classification import classify_pairs
 from repro.dedup.descriptions import select_interesting_attributes
 from repro.dedup.detector import OBJECT_ID_COLUMN, DuplicateDetector
-from repro.dedup.filters import UpperBoundFilter
 from repro.dedup.pairs import CandidatePairGenerator, PairScore
 from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
 from repro.engine.relation import Relation
@@ -13,6 +12,7 @@ from repro.evaluation import evaluate_clusters
 from repro.matching.dumas import DumasMatcher
 from repro.matching.multi import MultiMatcher
 from repro.matching.transform import transform_sources
+from tests.dedup.reference_scoring import ReferenceScorer
 
 
 @pytest.fixture
@@ -61,7 +61,7 @@ class TestCandidatePairs:
         filtered = self.make_generator(duplicated_people, use_filter=True)
         unfiltered_scores = {s.as_tuple(): s.similarity for s in unfiltered.score_pairs(duplicated_people)}
         filtered_scores = {s.as_tuple(): s.similarity for s in filtered.score_pairs(duplicated_people)}
-        assert filtered.filter.statistics.pruned >= 0
+        assert filtered.statistics.pruned >= 0
         # every pair above the threshold survives the filter with the same score
         for pair, similarity in unfiltered_scores.items():
             if similarity >= 0.5:
@@ -69,25 +69,37 @@ class TestCandidatePairs:
 
 
 class TestUpperBoundFilter:
+    """The generator's upper-bound filter and its considered/pruned counters."""
+
+    def make_generator(self, relation, **kwargs):
+        selection = select_interesting_attributes(relation)
+        measure = DuplicateSimilarityMeasure(selection).fit(relation)
+        return CandidatePairGenerator(measure, filter_threshold=0.99, **kwargs)
+
     def test_statistics_and_disable(self, duplicated_people):
-        selection = select_interesting_attributes(duplicated_people)
-        measure = DuplicateSimilarityMeasure(selection).fit(duplicated_people)
-        enabled = UpperBoundFilter(measure, threshold=0.99)
-        disabled = UpperBoundFilter(measure, threshold=0.99, enabled=False)
+        enabled = self.make_generator(duplicated_people)
+        disabled = self.make_generator(duplicated_people, use_filter=False)
+        enabled.score_pairs(duplicated_people)
+        disabled.score_pairs(duplicated_people)
         rows = duplicated_people.rows
-        enabled.passes(rows[0], rows[4])
-        disabled.passes(rows[0], rows[4])
-        assert enabled.statistics.considered == 1
+        reference = ReferenceScorer(enabled.measure)
+        expected_pruned = sum(
+            reference.upper_bound(rows[i], rows[j]) < 0.99
+            for i in range(len(rows))
+            for j in range(i + 1, len(rows))
+        )
+        assert enabled.statistics.considered == 10
+        assert enabled.statistics.pruned == expected_pruned
+        assert disabled.statistics.considered == 10
         assert disabled.statistics.pruned == 0
         assert 0.0 <= enabled.statistics.pruning_ratio <= 1.0
 
     def test_reset(self, duplicated_people):
-        selection = select_interesting_attributes(duplicated_people)
-        measure = DuplicateSimilarityMeasure(selection).fit(duplicated_people)
-        filt = UpperBoundFilter(measure, threshold=0.9)
-        filt.passes(duplicated_people.rows[0], duplicated_people.rows[1])
-        filt.statistics.reset()
-        assert filt.statistics.considered == 0
+        generator = self.make_generator(duplicated_people)
+        generator.score_pairs(duplicated_people)
+        assert generator.statistics.considered == 10
+        generator.statistics.reset()
+        assert generator.statistics.considered == 0
 
 
 class TestClassification:

@@ -101,11 +101,12 @@ class TestEnrichment:
 
         from repro.dedup.descriptions import select_interesting_attributes
         from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
+        from tests.dedup.reference_scoring import ReferenceScorer
 
         bare_selection = select_interesting_attributes(students, exclude=["student_id"])
-        bare = DuplicateSimilarityMeasure(bare_selection).fit(students)
+        bare = ReferenceScorer(DuplicateSimilarityMeasure(bare_selection).fit(students))
         rich_selection = select_interesting_attributes(enriched, exclude=["student_id"])
-        rich = DuplicateSimilarityMeasure(rich_selection).fit(enriched)
+        rich = ReferenceScorer(DuplicateSimilarityMeasure(rich_selection).fit(enriched))
 
         # students 1 and 2 share their whole course history (true duplicates);
         # student 3 has a similar name but a different history.

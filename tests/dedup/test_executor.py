@@ -1,24 +1,22 @@
-"""Determinism and parity tests for the pluggable scoring executors."""
+"""Determinism and parity tests for pair scoring, in-process and in a pool."""
 
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import repro.dedup.pairs as pairs_module
+from repro.config import DedupConfig
+from repro.dedup.classification import classify_pairs
 from repro.dedup.descriptions import select_interesting_attributes
 from repro.dedup.detector import DuplicateDetector
-from repro.dedup.executor import (
-    MultiprocessExecutor,
-    ScoringBatch,
-    SerialExecutor,
-    executor_for_workers,
-    resolve_executor,
-    score_batch,
-)
-from repro.dedup.pairs import CandidatePairGenerator
-from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
+from repro.dedup.pairs import CandidatePairGenerator, chunk_size, score_chunk
+from repro.dedup.similarity_measure import ColumnarPairScorer, DuplicateSimilarityMeasure
+from repro.exceptions import ConfigError
 from repro.matching.dumas import DumasMatcher
 from repro.matching.multi import MultiMatcher
 from repro.matching.transform import transform_sources
+from tests.dedup.reference_scoring import ReferenceScorer, reference_scores
 
 
 def combined_relation(dataset):
@@ -31,197 +29,163 @@ def score_key(scores):
     return [(score.left_index, score.right_index, score.similarity) for score in scores]
 
 
-class TestResolveExecutor:
-    def test_none_is_serial(self):
-        assert isinstance(resolve_executor(None), SerialExecutor)
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Fan out even tiny candidate sets once ``workers > 1``."""
+    monkeypatch.setattr(pairs_module, "MIN_PARALLEL_PAIRS", 0)
 
-    def test_names_resolve(self):
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("multiprocess"), MultiprocessExecutor)
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Record the ``max_workers`` of every scoring pool that is started."""
+    started = []
+
+    def spy(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(pairs_module, "ProcessPoolExecutor", spy)
+    return started
+
+
+class TestResolveExecutor:
+    """How the ``workers`` knob selects in-process or pool scoring."""
+
+    def test_none_is_serial(self, small_students_dataset, force_pool, pool_sizes):
+        relation = combined_relation(small_students_dataset)
+        DuplicateDetector(workers=None).detect(relation)
+        DuplicateDetector(workers=1).detect(relation)
+        assert pool_sizes == []
 
     def test_options_are_forwarded(self):
-        executor = resolve_executor("multiprocess", workers=3, chunk_size=128)
-        assert executor.workers == 3
-        assert executor.chunk_size == 128
+        detector = DedupConfig(workers=3).build_detector()
+        assert detector.workers == 3
+        assert detector.with_overrides(threshold=0.8).workers == 3
 
-    def test_instances_pass_through(self):
-        executor = MultiprocessExecutor(workers=2)
-        assert resolve_executor(executor) is executor
-
-    def test_instance_with_options_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_executor(SerialExecutor(), workers=2)
+    def test_executor_for_workers(self, small_students_dataset, force_pool, pool_sizes):
+        relation = combined_relation(small_students_dataset)
+        DuplicateDetector(workers=2).detect(relation)
+        assert pool_sizes == [2]
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown scoring executor"):
-            resolve_executor("threads")
-
-    def test_executor_for_workers(self):
-        assert isinstance(executor_for_workers(None), SerialExecutor)
-        assert isinstance(executor_for_workers(1), SerialExecutor)
-        multiprocess = executor_for_workers(4, chunk_size=64)
-        assert isinstance(multiprocess, MultiprocessExecutor)
-        assert multiprocess.workers == 4
-        assert multiprocess.chunk_size == 64
+        # the retired executor spelling stays retired, no shim
+        with pytest.raises(TypeError):
+            DuplicateDetector(executor="multiprocess")
 
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            MultiprocessExecutor(workers=0)
-        with pytest.raises(ValueError):
-            MultiprocessExecutor(chunk_size=0)
-        with pytest.raises(ValueError):
-            MultiprocessExecutor(min_parallel_pairs=-1)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            DuplicateDetector(workers=0)
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            DedupConfig(workers=0)
 
 
 class TestChunking:
     def test_default_chunk_size_targets_four_batches_per_worker(self):
-        executor = MultiprocessExecutor(workers=2)
-        assert executor.effective_chunk_size(8000) == 1000
-
-    def test_explicit_chunk_size_wins(self):
-        executor = MultiprocessExecutor(workers=2, chunk_size=100)
-        assert executor.effective_chunk_size(8000) == 100
+        assert chunk_size(8000, workers=2) == 1000
 
     def test_chunk_size_never_zero(self):
-        executor = MultiprocessExecutor(workers=8)
-        assert executor.effective_chunk_size(1) == 1
+        assert chunk_size(1, workers=8) == 1
+
+
+def setup_scoring(dataset):
+    relation = combined_relation(dataset)
+    selection = select_interesting_attributes(relation)
+    measure = DuplicateSimilarityMeasure(selection).fit(relation)
+    generator = CandidatePairGenerator(measure, filter_threshold=0.6)
+    pairs = list(generator.candidate_indices(relation))
+    return relation, measure, pairs
 
 
 class TestMeasurePickling:
-    def test_snapshot_drops_trigram_cache(self, small_students_dataset):
-        relation = combined_relation(small_students_dataset)
-        selection = select_interesting_attributes(relation)
-        measure = DuplicateSimilarityMeasure(selection).fit(relation)
-        rows = relation.rows
-        measure.upper_bound(rows[0], rows[1])  # populate the cache
-        assert measure._trigram_cache
-
-        clone = pickle.loads(pickle.dumps(measure))
-        assert clone._trigram_cache == {}
-        # the clone scores identically despite the dropped cache
-        assert clone.compare_rows(rows[0], rows[1]) == measure.compare_rows(
-            rows[0], rows[1]
-        )
-        assert clone.upper_bound(rows[0], rows[1]) == measure.upper_bound(
-            rows[0], rows[1]
-        )
-
     def test_score_batch_matches_direct_scoring(self, small_students_dataset):
-        relation = combined_relation(small_students_dataset)
-        selection = select_interesting_attributes(relation)
-        measure = DuplicateSimilarityMeasure(selection).fit(relation)
+        # what a pool worker runs: score_chunk over an unpickled scorer
+        relation, measure, pairs = setup_scoring(small_students_dataset)
+        scorer = pickle.loads(pickle.dumps(ColumnarPairScorer(measure, relation)))
+        scores, pruned = score_chunk(scorer, 0.6, False, pairs)
         generator = CandidatePairGenerator(measure, filter_threshold=0.6)
-        pairs = list(generator.candidate_indices(relation))
-        attributes = measure.fitted_attributes
-        batch = ScoringBatch(
-            measure=pickle.loads(pickle.dumps(measure)),
-            columns={attribute: relation.column(attribute) for attribute in attributes},
-            null_masks={
-                attribute: relation.null_mask(attribute) for attribute in attributes
-            },
-            filter_threshold=0.6,
-            use_filter=True,
-            keep_evidence=False,
-        )
-        result = score_batch(batch, pairs)
         expected = generator.score_pairs(relation)
-        assert score_key(result.scores) == score_key(expected)
-        assert result.considered == len(pairs)
-        assert result.pruned == generator.statistics.pruned
+        assert score_key(scores) == score_key(expected)
+        assert generator.statistics.considered == len(pairs)
+        assert pruned == generator.statistics.pruned
 
 
 class TestColumnarBatchParity:
-    """The batched columnar scorer is bit-identical to the per-pair reference
-    (ISSUE 9): same floats, same pruning decisions, same evidence — for every
-    combination of filter and evidence settings."""
-
-    def setup_scoring(self, dataset):
-        relation = combined_relation(dataset)
-        selection = select_interesting_attributes(relation)
-        measure = DuplicateSimilarityMeasure(selection).fit(relation)
-        generator = CandidatePairGenerator(measure, filter_threshold=0.6)
-        pairs = list(generator.candidate_indices(relation))
-        return relation, measure, pairs
-
-    def reference_scores(
-        self, measure, relation, pairs, threshold, use_filter, keep_evidence
-    ):
-        """The seed per-pair loop: row tuples, one measure call per pair."""
-        rows = relation.rows
-        scores, pruned = [], 0
-        for i, j in pairs:
-            if use_filter and measure.upper_bound(rows[i], rows[j]) < threshold:
-                pruned += 1
-                continue
-            if keep_evidence:
-                evidence = measure.explain_rows(rows[i], rows[j])
-                scores.append((i, j, evidence.similarity, evidence))
-            else:
-                scores.append((i, j, measure.compare_rows(rows[i], rows[j]), None))
-        return scores, pruned
+    """The columnar scorer is bit-identical to the per-pair reference: same
+    floats, same pruning decisions, same evidence — for every combination of
+    filter and evidence settings."""
 
     @pytest.mark.parametrize("use_filter", [True, False])
     @pytest.mark.parametrize("keep_evidence", [True, False])
     def test_score_batch_bit_identical(
         self, small_students_dataset, use_filter, keep_evidence
     ):
-        relation, measure, pairs = self.setup_scoring(small_students_dataset)
-        batch = ScoringBatch(
-            measure=measure,
-            columns={
-                attribute: relation.column(attribute)
-                for attribute in measure.fitted_attributes
-            },
-            null_masks={
-                attribute: relation.null_mask(attribute)
-                for attribute in measure.fitted_attributes
-            },
-            filter_threshold=0.6,
-            use_filter=use_filter,
-            keep_evidence=keep_evidence,
+        relation, measure, pairs = setup_scoring(small_students_dataset)
+        threshold = 0.6 if use_filter else None
+        scores, pruned = score_chunk(
+            ColumnarPairScorer(measure, relation), threshold, keep_evidence, pairs
         )
-        result = score_batch(batch, pairs)
-        expected, pruned = self.reference_scores(
-            measure, relation, pairs, 0.6, use_filter, keep_evidence
+        expected, expected_pruned = reference_scores(
+            measure, relation.rows, pairs, threshold, keep_evidence
         )
-        assert result.considered == len(pairs)
-        assert result.pruned == pruned
-        assert len(result.scores) == len(expected)
-        for score, (i, j, similarity, evidence) in zip(result.scores, expected):
-            assert (score.left_index, score.right_index) == (i, j)
-            assert score.similarity == similarity  # bit-identical float
-            if keep_evidence:
-                assert score.evidence is not None
-                assert score.evidence == evidence
-            else:
-                assert score.evidence is None
+        assert pruned == expected_pruned
+        assert scores == expected  # bit-identical floats and evidence
+        assert all((score.evidence is not None) == keep_evidence for score in scores)
 
     def test_columnar_scorer_upper_bound_parity(self, small_students_dataset):
-        relation, measure, pairs = self.setup_scoring(small_students_dataset)
-        scorer = measure.columnar_scorer(
-            {
-                attribute: relation.column(attribute)
-                for attribute in measure.fitted_attributes
-            }
-        )
+        relation, measure, pairs = setup_scoring(small_students_dataset)
+        scorer = ColumnarPairScorer(measure, relation)
+        reference = ReferenceScorer(measure)
         rows = relation.rows
         for i, j in pairs:
-            assert scorer.upper_bound(i, j) == measure.upper_bound(rows[i], rows[j])
+            assert scorer.upper_bound(i, j) == reference.upper_bound(rows[i], rows[j])
+
+
+class TestOnePathParity:
+    """In-process scoring, a forced 2-worker pool and the per-pair oracle
+    agree exactly: scores, evidence, filter counters and clusters."""
+
+    @pytest.mark.parametrize("keep_evidence", [False, True])
+    @pytest.mark.parametrize("scenario", ["students", "cds"])
+    def test_serial_pool_and_oracle_agree(
+        self, request, force_pool, scenario, keep_evidence
+    ):
+        dataset = request.getfixturevalue(f"small_{scenario}_dataset")
+        relation = combined_relation(dataset)
+        serial = DuplicateDetector(keep_evidence=keep_evidence).detect(relation)
+        pool = DuplicateDetector(keep_evidence=keep_evidence, workers=2).detect(relation)
+
+        detector = DuplicateDetector()
+        measure = DuplicateSimilarityMeasure(serial.selection).fit(relation)
+        generator = CandidatePairGenerator(measure, filter_threshold=0.6)
+        pairs = list(generator.candidate_indices(relation))
+        oracle, oracle_pruned = reference_scores(
+            measure, relation.rows, pairs, 0.6, keep_evidence
+        )
+        oracle_assignment, _ = detector._cluster_accepted(
+            relation, classify_pairs(oracle, detector.threshold, detector.uncertainty_band)
+        )
+
+        assert serial.scores == oracle
+        assert pool.scores == oracle
+        assert pool.filter_statistics == serial.filter_statistics
+        assert serial.filter_statistics.considered == len(pairs)
+        assert serial.filter_statistics.pruned == oracle_pruned
+        assert serial.cluster_assignment == oracle_assignment
+        assert pool.cluster_assignment == oracle_assignment
 
 
 class TestSerialParity:
-    """The serial executor is byte-identical to the seed scoring loop."""
+    """Scoring defaults to the calling process."""
 
     def test_detector_defaults_to_serial(self):
-        assert isinstance(DuplicateDetector().executor, SerialExecutor)
+        assert DuplicateDetector().workers is None
 
-    def test_small_input_fallback_matches_serial(self, small_students_dataset):
+    def test_small_input_fallback_matches_serial(self, small_students_dataset, pool_sizes):
         relation = combined_relation(small_students_dataset)
-        serial = DuplicateDetector(executor=SerialExecutor()).detect(relation)
-        # high threshold → the fallback path scores in-process
-        fallback = DuplicateDetector(
-            executor=MultiprocessExecutor(workers=2, min_parallel_pairs=10**9)
-        ).detect(relation)
+        serial = DuplicateDetector().detect(relation)
+        # below MIN_PARALLEL_PAIRS candidates the pool is never started
+        fallback = DuplicateDetector(workers=2).detect(relation)
+        assert pool_sizes == []
         assert score_key(fallback.scores) == score_key(serial.scores)
         assert fallback.cluster_assignment == serial.cluster_assignment
         assert (
@@ -231,16 +195,11 @@ class TestSerialParity:
 
 @pytest.mark.parametrize("blocking", ["allpairs", "token"])
 class TestMultiprocessParity:
-    """Multiprocess scoring reproduces the serial run exactly (ISSUE 2 bar)."""
+    """Pool scoring reproduces the in-process run exactly."""
 
-    def parity_check(self, relation, blocking, **executor_options):
-        serial = DuplicateDetector(blocking=blocking, executor=SerialExecutor()).detect(
-            relation
-        )
-        parallel = DuplicateDetector(
-            blocking=blocking,
-            executor=MultiprocessExecutor(min_parallel_pairs=0, **executor_options),
-        ).detect(relation)
+    def parity_check(self, relation, blocking):
+        serial = DuplicateDetector(blocking=blocking).detect(relation)
+        parallel = DuplicateDetector(blocking=blocking, workers=2).detect(relation)
         assert score_key(parallel.scores) == score_key(serial.scores)
         assert set(parallel.duplicate_pairs) == set(serial.duplicate_pairs)
         assert parallel.cluster_assignment == serial.cluster_assignment
@@ -249,41 +208,41 @@ class TestMultiprocessParity:
         )
         return serial, parallel
 
-    def test_students_parity(self, small_students_dataset, blocking):
+    def test_students_parity(self, small_students_dataset, blocking, force_pool):
         relation = combined_relation(small_students_dataset)
-        self.parity_check(relation, blocking, workers=2)
+        self.parity_check(relation, blocking)
 
-    def test_cds_parity(self, small_cds_dataset, blocking):
+    def test_cds_parity(self, small_cds_dataset, blocking, force_pool):
         relation = combined_relation(small_cds_dataset)
-        self.parity_check(relation, blocking, workers=2)
+        self.parity_check(relation, blocking)
 
-    def test_tiny_chunks_preserve_order(self, small_students_dataset, blocking):
-        # chunk_size=7 forces many batches per worker; the merged score list
+    def test_tiny_chunks_preserve_order(
+        self, small_students_dataset, blocking, force_pool, monkeypatch
+    ):
+        # 7-pair chunks force many chunks per worker; the merged score list
         # must still come back in candidate order.
+        monkeypatch.setattr(pairs_module, "chunk_size", lambda pair_count, workers: 7)
         relation = combined_relation(small_students_dataset)
-        self.parity_check(relation, blocking, workers=2, chunk_size=7)
+        self.parity_check(relation, blocking)
 
 
 class TestAdaptiveExecutorParity:
-    """Adaptive blocking composes with the multiprocess executor (ISSUE 3).
+    """Adaptive blocking composes with pool scoring.
 
     On the parity fixture the planner falls back to all-pairs (the input is
-    far below ``small_threshold``), so adaptive + multiprocess must be
-    bit-identical to a serial all-pairs run — same ``PairScore`` list, same
-    clusters, same filter counters; only the plan report is extra.
+    far below ``small_threshold``), so adaptive + pool must be bit-identical
+    to an in-process all-pairs run — same ``PairScore`` list, same clusters,
+    same filter counters; only the plan report is extra.
     """
 
-    def test_adaptive_multiprocess_matches_serial_allpairs(self, small_students_dataset):
+    def test_adaptive_multiprocess_matches_serial_allpairs(
+        self, small_students_dataset, force_pool
+    ):
         from repro.dedup.blocking import AdaptiveBlocking
 
         relation = combined_relation(small_students_dataset)
-        serial = DuplicateDetector(
-            blocking="allpairs", executor=SerialExecutor()
-        ).detect(relation)
-        adaptive = DuplicateDetector(
-            blocking="adaptive",
-            executor=MultiprocessExecutor(workers=2, min_parallel_pairs=0),
-        ).detect(relation)
+        serial = DuplicateDetector(blocking="allpairs").detect(relation)
+        adaptive = DuplicateDetector(blocking="adaptive", workers=2).detect(relation)
         assert score_key(adaptive.scores) == score_key(serial.scores)
         assert adaptive.cluster_assignment == serial.cluster_assignment
         serial_stats = serial.filter_statistics.as_dict()
@@ -297,20 +256,20 @@ class TestAdaptiveExecutorParity:
             DuplicateDetector(blocking="adaptive").blocking, AdaptiveBlocking
         )
 
-    def test_escalated_plan_is_executor_invariant(self, small_students_dataset):
+    def test_escalated_plan_is_executor_invariant(
+        self, small_students_dataset, force_pool
+    ):
         # Force the escalated (non-allpairs) path with small_threshold=0 and
-        # check serial vs. multiprocess runs of the *same* plan agree exactly,
+        # check in-process vs. pool runs of the *same* plan agree exactly,
         # plan report included.
         from repro.dedup.blocking import AdaptiveBlocking
 
         relation = combined_relation(small_students_dataset)
         serial = DuplicateDetector(
-            blocking=AdaptiveBlocking(small_threshold=0),
-            executor=SerialExecutor(),
+            blocking=AdaptiveBlocking(small_threshold=0)
         ).detect(relation)
         parallel = DuplicateDetector(
-            blocking=AdaptiveBlocking(small_threshold=0),
-            executor=MultiprocessExecutor(workers=2, min_parallel_pairs=0),
+            blocking=AdaptiveBlocking(small_threshold=0), workers=2
         ).detect(relation)
         assert serial.filter_statistics.blocking_plan["strategy"] != "allpairs"
         assert score_key(parallel.scores) == score_key(serial.scores)
@@ -321,15 +280,10 @@ class TestAdaptiveExecutorParity:
 
 
 class TestEvidenceAndThreading:
-    def test_keep_evidence_survives_the_pool(self, small_students_dataset):
+    def test_keep_evidence_survives_the_pool(self, small_students_dataset, force_pool):
         relation = combined_relation(small_students_dataset)
-        serial = DuplicateDetector(
-            keep_evidence=True, executor=SerialExecutor()
-        ).detect(relation)
-        parallel = DuplicateDetector(
-            keep_evidence=True,
-            executor=MultiprocessExecutor(workers=2, min_parallel_pairs=0),
-        ).detect(relation)
+        serial = DuplicateDetector(keep_evidence=True).detect(relation)
+        parallel = DuplicateDetector(keep_evidence=True, workers=2).detect(relation)
         assert score_key(parallel.scores) == score_key(serial.scores)
         for left, right in zip(serial.scores, parallel.scores):
             assert left.evidence is not None and right.evidence is not None
@@ -337,23 +291,24 @@ class TestEvidenceAndThreading:
             assert left.evidence.per_attribute == right.evidence.per_attribute
 
     def test_hummer_threads_executor_into_detector(self):
-        from repro.config import DedupConfig, FusionConfig
+        from repro.config import FusionConfig
         from repro.hummer import HumMer
 
-        hummer = HumMer(config=FusionConfig(dedup=DedupConfig(executor="multiprocess")))
-        assert isinstance(hummer.detector.executor, MultiprocessExecutor)
+        hummer = HumMer(config=FusionConfig(dedup=DedupConfig(workers=2)))
+        assert hummer.detector.workers == 2
 
     def test_injected_detector_executor_wins(self):
+        from repro.config import FusionConfig
         from repro.hummer import HumMer
 
-        detector = DuplicateDetector(
-            executor=MultiprocessExecutor(workers=2, min_parallel_pairs=0)
+        detector = DuplicateDetector(workers=2)
+        hummer = HumMer(
+            detector=detector, config=FusionConfig(dedup=DedupConfig(workers=3))
         )
-        hummer = HumMer(detector=detector)
-        assert hummer.detector.executor is detector.executor
+        assert hummer.detector.workers == 2
 
-    def test_configured_pipeline_executor(self, small_students_dataset):
-        from repro.config import DedupConfig, FusionConfig
+    def test_configured_pipeline_executor(self, small_students_dataset, force_pool):
+        from repro.config import FusionConfig
         from repro.core.pipeline import FusionPipeline
         from repro.engine.catalog import Catalog
 
@@ -362,9 +317,9 @@ class TestEvidenceAndThreading:
         for alias, relation in dataset.sources.items():
             catalog.register(alias, relation)
         pipeline = FusionPipeline(
-            catalog, config=FusionConfig(dedup=DedupConfig(executor="multiprocess"))
+            catalog, config=FusionConfig(dedup=DedupConfig(workers=2))
         )
-        assert isinstance(pipeline.detector.executor, MultiprocessExecutor)
+        assert pipeline.detector.workers == 2
         result = pipeline.run(list(dataset.sources))
         serial_result = FusionPipeline(catalog).run(list(dataset.sources))
         assert result.detection.cluster_assignment == (

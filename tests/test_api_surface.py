@@ -142,7 +142,7 @@ SIGNATURES = {
     "DuplicateDetector.__init__": [
         "self", "threshold", "uncertainty_band", "use_filter",
         "cross_source_only", "selection", "accept_unsure", "keep_evidence",
-        "blocking", "clustering", "executor",
+        "blocking", "clustering", "workers",
     ],
     "DuplicateDetector.with_overrides": ["self", "overrides"],
 }

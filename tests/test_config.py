@@ -18,7 +18,6 @@ from repro.config import (
     ResolutionConfig,
 )
 from repro.dedup.blocking import SortedNeighborhoodBlocking, UnionBlocking
-from repro.dedup.executor import MultiprocessExecutor, SerialExecutor
 from repro.dedup.graphcluster import BicliqueClustering, GraphClustering
 from repro.exceptions import ConfigError, HummerError
 
@@ -42,7 +41,6 @@ def full_config() -> FusionConfig:
             clustering="graph",
             clustering_options={"min_cohesion": 0.5},
             workers=2,
-            chunk_size=64,
         ),
         prepare=PrepareConfig(mode="lazy", artifact_dir="/tmp/artifacts"),
         resolution=ResolutionConfig(
@@ -77,6 +75,54 @@ class TestRoundTrip:
         config = FusionConfig.from_dict({"dedup": {"threshold": 0.9}})
         assert config.dedup.threshold == 0.9
         assert config.matching == MatchingConfig()
+
+
+#: ``FusionConfig().to_json()`` as written before ``executor`` and
+#: ``chunk_size`` were retired in favour of ``workers``.
+LEGACY_DEFAULT_DOCUMENT = """{
+  "matching": {
+    "max_seeds": 10,
+    "min_seed_similarity": 0.25,
+    "correspondence_threshold": 0.35,
+    "use_name_fallback": true
+  },
+  "dedup": {
+    "threshold": 0.7,
+    "uncertainty_band": 0.1,
+    "use_filter": true,
+    "cross_source_only": false,
+    "accept_unsure": true,
+    "keep_evidence": false,
+    "blocking": null,
+    "blocking_options": {},
+    "clustering": null,
+    "clustering_options": {},
+    "executor": null,
+    "workers": null,
+    "chunk_size": null
+  },
+  "prepare": {
+    "mode": null,
+    "artifact_dir": null
+  },
+  "resolution": {
+    "resolutions": {},
+    "key_columns": []
+  }
+}
+"""
+
+
+class TestRetiredFields:
+    def test_legacy_default_document_loads(self):
+        config = FusionConfig.from_json(LEGACY_DEFAULT_DOCUMENT)
+        assert config == FusionConfig()
+        assert "executor" not in config.to_dict()["dedup"]
+        assert "chunk_size" not in config.to_dict()["dedup"]
+
+    def test_non_null_executor_names_workers(self):
+        with pytest.raises(ConfigError, match="configure 'workers' instead"):
+            FusionConfig.from_dict({"dedup": {"executor": "multiprocess"}})
 
 
 class TestMerged:
@@ -135,22 +181,23 @@ class TestValidation:
             DedupConfig(clustering=GraphClustering())
 
     def test_bad_executor_name(self):
-        with pytest.raises(ConfigError, match="unknown scoring executor"):
-            DedupConfig(executor="threads")
+        with pytest.raises(ConfigError, match="'executor' was retired; configure 'workers'"):
+            DedupConfig.from_dict({"executor": "threads"})
 
     def test_negative_workers(self):
         with pytest.raises(ConfigError, match="workers must be at least 1"):
             DedupConfig(workers=-2)
 
     def test_chunk_size_needs_parallel_workers(self):
-        with pytest.raises(ConfigError, match="chunk_size"):
-            DedupConfig(chunk_size=32)
-        with pytest.raises(ConfigError, match="chunk_size"):
-            DedupConfig(workers=1, chunk_size=32)
+        # chunk_size is derived from workers now; setting it names the knob
+        with pytest.raises(ConfigError, match="'chunk_size' was retired; configure 'workers'"):
+            DedupConfig.from_dict({"workers": 4, "chunk_size": 32})
+        with pytest.raises(ConfigError, match="'chunk_size' was retired"):
+            FusionConfig().merged({"dedup": {"chunk_size": 32}})
 
     def test_workers_exclusive_with_executor_name(self):
-        with pytest.raises(ConfigError, match="workers cannot be combined"):
-            DedupConfig(executor="serial", workers=4)
+        with pytest.raises(ConfigError, match="'executor' was retired; configure 'workers'"):
+            DedupConfig.from_dict({"executor": "serial", "workers": 4})
 
     def test_threshold_range(self):
         with pytest.raises(ConfigError, match=r"threshold must lie in \[0, 1\]"):
@@ -201,17 +248,8 @@ class TestBuilders:
         assert strategy.max_component_size == 32
 
     def test_build_executor_from_workers(self):
-        assert isinstance(DedupConfig().build_executor(), SerialExecutor)
-        executor = DedupConfig(workers=3, chunk_size=16).build_executor()
-        assert isinstance(executor, MultiprocessExecutor)
-        assert executor.workers == 3
-        assert executor.chunk_size == 16
-
-    def test_build_executor_from_name(self):
-        assert isinstance(
-            DedupConfig(executor="multiprocess").build_executor(),
-            MultiprocessExecutor,
-        )
+        assert DedupConfig().build_detector().workers is None
+        assert DedupConfig(workers=3).build_detector().workers == 3
 
     def test_build_detector_carries_every_field(self):
         config = full_config().dedup
@@ -223,7 +261,7 @@ class TestBuilders:
         assert isinstance(detector.blocking, SortedNeighborhoodBlocking)
         assert isinstance(detector.clustering, GraphClustering)
         assert detector.clustering.min_cohesion == 0.5
-        assert isinstance(detector.executor, MultiprocessExecutor)
+        assert detector.workers == 2
 
     def test_build_matcher(self):
         matcher = full_config().matching.build_matcher()
@@ -260,7 +298,6 @@ class TestFromCliArgs:
             token_max_block=20,
             snm_window=None,
             workers=None,
-            chunk_size=None,
             prepare=False,
             artifact_dir=None,
         )
@@ -284,18 +321,18 @@ class TestFromCliArgs:
         assert config.dedup.clustering_options == {"min_cohesion": 0.5}
 
     def test_workers_flag_replaces_config_file_executor(self):
-        base = FusionConfig(dedup=DedupConfig(executor="multiprocess"))
+        # a config file written with the retired "executor": null spelling
+        # composes with --workers
+        base = FusionConfig.from_json(LEGACY_DEFAULT_DOCUMENT)
         config = FusionConfig.from_cli_args(self._args(workers=2), base=base)
-        assert config.dedup.executor is None
         assert config.dedup.workers == 2
+        assert "executor" not in config.to_dict()["dedup"]
 
     def test_option_flags_require_their_strategy(self):
         with pytest.raises(ConfigError, match="--snm-window"):
             FusionConfig.from_cli_args(self._args(blocking="token", snm_window=4))
         with pytest.raises(ConfigError, match="--token-max-block"):
             FusionConfig.from_cli_args(self._args(blocking="snm", token_max_block=4))
-        with pytest.raises(ConfigError, match="--chunk-size"):
-            FusionConfig.from_cli_args(self._args(chunk_size=4))
 
     def test_artifact_dir_implies_lazy_prepare(self):
         config = FusionConfig.from_cli_args(self._args(artifact_dir="/tmp/x"))
@@ -321,20 +358,7 @@ class TestFromCliArgs:
         assert changed.dedup.blocking == "token"
         assert changed.dedup.blocking_options == {}
 
-    def test_chunk_size_flag_composes_with_base_workers(self):
+    def test_workers_flag_overrides_the_base(self):
         base = FusionConfig(dedup=DedupConfig(workers=4))
-        config = FusionConfig.from_cli_args(self._args(chunk_size=500), base=base)
-        assert config.dedup.workers == 4
-        assert config.dedup.chunk_size == 500
-
-    def test_workers_flag_keeps_the_base_chunk_size(self):
-        base = FusionConfig(dedup=DedupConfig(workers=4, chunk_size=500))
-        config = FusionConfig.from_cli_args(self._args(workers=8), base=base)
-        assert config.dedup.workers == 8
-        assert config.dedup.chunk_size == 500
-
-    def test_serial_workers_flag_drops_the_base_chunk_size(self):
-        base = FusionConfig(dedup=DedupConfig(workers=4, chunk_size=500))
         config = FusionConfig.from_cli_args(self._args(workers=1), base=base)
         assert config.dedup.workers == 1
-        assert config.dedup.chunk_size is None
