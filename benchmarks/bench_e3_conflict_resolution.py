@@ -83,7 +83,9 @@ def test_e3_resolution_strategies_vs_baselines(benchmark):
             for column in detection.relation.schema
             if column.name.lower() not in ("objectid", "sourceid")
         ]
-        fusion = pipeline.step_fusion(detection, spec=FusionSpec(resolutions=resolutions))
+        fusion = pipeline.step_fusion(
+            detection.relation, spec=FusionSpec(resolutions=resolutions)
+        )
         strategy_quality = quality(fusion.relation, dataset)
         strategy_qualities[label] = strategy_quality
         rows.append((f"FUSE BY: {label}",) + tuple(strategy_quality.as_dict().values()))

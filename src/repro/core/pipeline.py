@@ -21,13 +21,20 @@ case" of the paper) by advancing one
 also the interactive flow — advance step by step, adjust the intermediate
 artefacts in place, continue (see :mod:`repro.core.session`).  The
 ``step_*`` methods remain the underlying per-step primitives.
+
+A pipeline holds the wizard's settings as ready objects — matcher,
+detector, resolution registry, the name-fallback flag and an optional
+:class:`SourcePreparer`.  It does not read a
+:class:`repro.config.FusionConfig`: :meth:`repro.hummer.HumMer.pipeline`
+is the one place that turns a config into these settings, and both of
+HumMer's query modes (:meth:`~repro.hummer.HumMer.fuse` and
+:meth:`~repro.hummer.HumMer.query`) run on a pipeline it builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.baselines.name_matcher import NameBasedMatcher
 from repro.core.conflicts import ConflictReport, find_conflicts
@@ -37,14 +44,13 @@ from repro.dedup.descriptions import AttributeSelection, select_interesting_attr
 from repro.dedup.detector import DuplicateDetectionResult, DuplicateDetector, OBJECT_ID_COLUMN
 from repro.engine.catalog import Catalog
 from repro.engine.relation import Relation
-from repro.exceptions import ConfigError, HummerError
+from repro.exceptions import HummerError
 from repro.matching.correspondences import CorrespondenceSet
 from repro.matching.dumas import DumasMatcher
 from repro.matching.multi import MultiMatcher, MultiMatchingResult
 from repro.matching.transform import transform_sources
 from repro.prepare import FIELD_KIND, PreparedQueryView, PreparedSources, SourcePreparer
 from repro.prepare.artifacts import SEED_KIND
-from repro.prepare.preparer import token_strategy_for
 
 __all__ = ["PipelineTimings", "PipelineResult", "FusionPipeline"]
 
@@ -53,9 +59,37 @@ __all__ = ["PipelineTimings", "PipelineResult", "FusionPipeline"]
 MATCH_ARTIFACT_KINDS = (SEED_KIND, FIELD_KIND)
 
 
+def detection_counters(detection: DuplicateDetectionResult) -> Dict[str, Any]:
+    """The counters of one detection shared by step payloads and summaries.
+
+    Clusters, blocking candidates, compared pairs and — for strategies that
+    report them — the clustering strategy, largest cluster and split chains.
+    """
+    statistics = detection.filter_statistics
+    counters: Dict[str, Any] = {
+        "clusters": detection.cluster_count,
+        "candidate_pairs": statistics.blocking_candidates,
+        "compared_pairs": statistics.compared,
+    }
+    report = detection.clustering_report
+    if report is not None:
+        counters["clustering"] = report.strategy
+        counters["largest_cluster"] = report.largest_cluster
+        counters["chains_split"] = report.chains_split
+    return counters
+
+
 @dataclass
 class PipelineTimings:
     """Wall-clock seconds spent in each phase (experiment E4).
+
+    A view over the per-step seconds a
+    :class:`~repro.core.session.FusionSession` records: ``fetch`` is
+    ``choose_sources``, ``matching`` is ``schema_matching`` plus
+    ``attribute_selection`` (the transform and the attribute heuristics),
+    ``duplicate_detection`` is ``duplicate_detection``, and ``fusion`` is
+    ``conflict_resolution`` plus ``fusion``.  :attr:`total` therefore equals
+    the sum of the session's step seconds.
 
     ``prepare`` is the artifact build/validate pass of a prepared run (zero
     for unprepared pipelines).  On a warm run over unchanged sources it
@@ -137,18 +171,11 @@ class PipelineResult:
             "seconds": self.timings.total,
         }
         if self.detection is not None:
-            summary["clusters"] = self.detection.cluster_count
+            summary.update(detection_counters(self.detection))
             summary["duplicate_pairs"] = len(self.detection.duplicate_pairs)
-            summary["candidate_pairs"] = self.detection.filter_statistics.blocking_candidates
-            summary["compared_pairs"] = self.detection.filter_statistics.compared
             plan = self.detection.filter_statistics.blocking_plan
             if plan is not None:
                 summary["blocking_plan"] = plan.get("strategy")
-            report = self.detection.clustering_report
-            if report is not None:
-                summary["clustering"] = report.strategy
-                summary["largest_cluster"] = report.largest_cluster
-                summary["chains_split"] = report.chains_split
         if self.conflicts is not None:
             summary["contradictions"] = self.conflicts.contradiction_count
             summary["uncertainties"] = self.conflicts.uncertainty_count
@@ -179,25 +206,18 @@ class FusionPipeline:
 
     Args:
         catalog: metadata repository holding the registered sources.
-        config: a :class:`repro.config.FusionConfig` describing matcher,
-            detector and preparation declaratively.  Explicit *matcher* /
-            *detector* / *prepare* objects override the corresponding
-            config sections (object injection for advanced use).
-        matcher: pairwise schema matcher (default: from config / DUMAS).
-        detector: duplicate detector (default: from config).
+        matcher: pairwise schema matcher (default: DUMAS).
+        detector: duplicate detector (default: stock settings).
         registry: resolution-function registry (default: all built-ins).
         use_name_fallback: when instance-based matching finds nothing for a
-            relation, fall back to label-based matching instead of failing
-            (``None`` → from config, default ``True``).
-        prepare: per-source artifact preparation (see :mod:`repro.prepare`) —
-            ``True`` builds a :class:`SourcePreparer` against the catalog's
-            artifact store (token parameters mirrored from the detector's
-            blocking strategy, seeding sample limit from the matcher), a
-            ready :class:`SourcePreparer` is used as-is, ``None``/``False``
-            disables preparation.  ``None`` with a config whose
-            ``prepare.mode`` is set builds a preparer from the config.
+            relation, fall back to label-based matching instead of failing.
+        prepare: a ready :class:`SourcePreparer` for per-source artifact
+            preparation (see :mod:`repro.prepare`), or ``None`` for an
+            unprepared run.
 
-    Mid-run adjustment lives on the session (adjust-then-continue):
+    The settings are taken as given: :meth:`repro.hummer.HumMer.pipeline`
+    builds them from a :class:`repro.config.FusionConfig`.  Mid-run
+    adjustment lives on the session (adjust-then-continue):
     :meth:`session`, then mutate ``session.matching`` / ``session.selection``
     / ``session.detection`` between
     :meth:`~repro.core.session.FusionSession.advance` calls.
@@ -209,46 +229,15 @@ class FusionPipeline:
         matcher: Optional[DumasMatcher] = None,
         detector: Optional[DuplicateDetector] = None,
         registry: Optional[ResolutionRegistry] = None,
-        use_name_fallback: Optional[bool] = None,
-        prepare: Union[bool, SourcePreparer, None] = None,
-        config=None,
+        use_name_fallback: bool = True,
+        prepare: Optional[SourcePreparer] = None,
     ):
         self.catalog = catalog
-        self.config = config
-        if config is not None:
-            matcher = matcher or config.matching.build_matcher()
-            detector = detector or config.dedup.build_detector()
-            if use_name_fallback is None:
-                use_name_fallback = config.matching.use_name_fallback
-            if prepare is None and config.prepare.mode is not None:
-                prepare = True
-            # The artifact store lives on the caller-supplied catalog, so a
-            # config artifact_dir the catalog does not match would be
-            # silently ignored — fail loudly instead of dropping the field.
-            if config.prepare.artifact_dir is not None:
-                if catalog.artifacts.directory != Path(config.prepare.artifact_dir):
-                    raise ConfigError(
-                        "config.prepare.artifact_dir "
-                        f"({config.prepare.artifact_dir!r}) does not match the "
-                        "catalog's artifact directory "
-                        f"({str(catalog.artifacts.directory)!r}); construct the "
-                        "catalog with Catalog(artifact_dir=...) — "
-                        "HumMer(config=...) does this automatically"
-                    )
         self.matcher = matcher or DumasMatcher()
         self.detector = detector or DuplicateDetector()
         self.registry = registry or default_registry()
-        self.use_name_fallback = True if use_name_fallback is None else use_name_fallback
-        if isinstance(prepare, SourcePreparer):
-            self.preparer: Optional[SourcePreparer] = prepare
-        elif prepare:
-            self.preparer = SourcePreparer(
-                catalog,
-                token_strategy=token_strategy_for(self.detector.blocking),
-                seed_sample_limit=self.matcher.seeder.max_tuples_per_relation,
-            )
-        else:
-            self.preparer = None
+        self.use_name_fallback = use_name_fallback
+        self.preparer = prepare
 
     # -- individual steps ---------------------------------------------------------
 
@@ -333,15 +322,18 @@ class FusionPipeline:
 
     def step_fusion(
         self,
-        detection: DuplicateDetectionResult,
+        relation: Relation,
         spec: Optional[FusionSpec] = None,
         metadata: Optional[Dict[str, Any]] = None,
         progress_callback: Optional[Callable[[str, int, int], None]] = None,
     ) -> FusionResult:
-        """Steps 5b+6: fuse each cluster into one tuple under the given spec.
+        """Steps 5b+6: fuse each object of *relation* into one tuple under *spec*.
 
-        *progress_callback* is forwarded to the operator's group-at-a-time
-        stream (``("groups_resolved", done, total)`` per fused cluster).
+        *relation* is a detection's relation (objects keyed by ``objectID``,
+        the default spec) or, for runs that skip detection, the transformed
+        union fused on the spec's own key columns.  *progress_callback* is
+        forwarded to the operator's group-at-a-time stream
+        (``("groups_resolved", done, total)`` per fused group).
         """
         fusion_spec = spec or FusionSpec(key_columns=[OBJECT_ID_COLUMN])
         operator = FusionOperator(
@@ -351,7 +343,7 @@ class FusionPipeline:
             metadata=metadata,
         )
         operator.progress_callback = progress_callback
-        return operator.fuse(detection.relation)
+        return operator.fuse(relation)
 
     # -- the automatic end-to-end run -----------------------------------------------
 

@@ -21,6 +21,12 @@ before advancing again::
 Progress on long runs is observable through subscribe-able
 :class:`StageEvent`\\ s carrying per-step wall-clock seconds and payloads
 (artifact reuse counters, the blocking plan report, classification counts).
+:meth:`FusionSession.advance` is the one clock: it times each step once,
+records the seconds in :attr:`FusionSession.step_reports`, and the run's
+:class:`PipelineTimings` are summed from those reports (see
+:data:`STEP_PHASES`).  The session takes its matcher, detector, registry
+and preparer from its pipeline, which holds them as built by
+:meth:`repro.hummer.HumMer.pipeline`.
 
 A session run and :meth:`FusionPipeline.run` are the *same* code path —
 ``run()`` is now a thin loop over one session — so stepping manually and
@@ -40,8 +46,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.fusion import FusionOperator, FusionSpec, ResolutionSpec
-from repro.core.pipeline import PipelineResult, PipelineTimings
+from repro.core.fusion import FusionSpec, ResolutionSpec
+from repro.core.pipeline import PipelineResult, PipelineTimings, detection_counters
 from repro.core.resolution.base import ResolutionFunction
 from repro.dedup.detector import OBJECT_ID_COLUMN
 from repro.engine.relation import Relation
@@ -64,6 +70,17 @@ SESSION_STEPS = (
     "conflict_resolution",
     "fusion",
 )
+
+#: The :class:`PipelineTimings` phase each step's seconds count toward.
+STEP_PHASES = {
+    "choose_sources": "fetch",
+    "prepare": "prepare",
+    "schema_matching": "matching",
+    "attribute_selection": "matching",
+    "duplicate_detection": "duplicate_detection",
+    "conflict_resolution": "fusion",
+    "fusion": "fusion",
+}
 
 #: Terminal pseudo-step reported by :attr:`FusionSession.current_step`.
 DONE = "done"
@@ -232,7 +249,6 @@ class FusionSession:
         #: name.  Carried into snapshots as the per-step artefact summaries.
         self.step_reports: Dict[str, Dict[str, Any]] = {}
 
-        self.timings = PipelineTimings()
         self._cursor = 0
         self._decisions_applied = False
         self._listeners: List[Callable[[StageEvent], None]] = []
@@ -265,6 +281,15 @@ class FusionSession:
     def is_done(self) -> bool:
         """Whether every step has executed and :attr:`result` is available."""
         return self._cursor >= len(SESSION_STEPS)
+
+    @property
+    def timings(self) -> PipelineTimings:
+        """Phase seconds of the steps run so far, summed from :attr:`step_reports`."""
+        timings = PipelineTimings()
+        for step, report in self.step_reports.items():
+            phase = STEP_PHASES[step]
+            setattr(timings, phase, getattr(timings, phase) + report["seconds"])
+        return timings
 
     # -- observation ---------------------------------------------------------------
 
@@ -322,8 +347,22 @@ class FusionSession:
         started = time.perf_counter()
         artefact, payload = self._runners[step]()
         seconds = time.perf_counter() - started
+        if step == self.PREPARE and self.prepared is None:
+            seconds = 0.0  # an unprepared run does no prepare work
         self._cursor += 1
         self.step_reports[step] = {"seconds": seconds, "payload": dict(payload)}
+        if self.is_done:
+            self.result = PipelineResult(
+                sources=self.sources,
+                matching=self.matching,
+                transformed=self.transformed,
+                attribute_selection=self.selection,
+                detection=self.detection,
+                conflicts=self.conflicts,
+                fusion=self.fusion,
+                timings=self.timings,
+                prepared=self.prepared.report() if self.prepared is not None else None,
+            )
         event = StageEvent(
             step=step,
             index=self._cursor,
@@ -543,15 +582,10 @@ class FusionSession:
 
     # -- step implementations ------------------------------------------------------
     #
-    # Each runner returns (artefact, event payload).  Timing attribution
-    # into PipelineTimings keeps the pre-session phase semantics: transform
-    # counts as matching, selection as duplicate detection, conflicts as
-    # fusion.
+    # Each runner returns (artefact, event payload); advance() times it.
 
     def _run_choose_sources(self):
-        started = time.perf_counter()
         self.sources = self.pipeline.step_choose_sources(self.aliases)
-        self.timings.fetch += time.perf_counter() - started
         payload = {
             "aliases": list(self.aliases),
             "tuples": sum(len(source) for source in self.sources),
@@ -559,10 +593,7 @@ class FusionSession:
         return self.sources, payload
 
     def _run_prepare(self):
-        started = time.perf_counter()
         self.prepared = self.pipeline.step_prepare(self.aliases)
-        if self.prepared is not None:
-            self.timings.prepare += time.perf_counter() - started
         return self.prepared, (
             dict(self.prepared.report()) if self.prepared is not None else {}
         )
@@ -594,7 +625,6 @@ class FusionSession:
         if seeder is not None and hasattr(seeder, "scoring_listener"):
             restore.append((seeder, "scoring_listener", seeder.scoring_listener))
             seeder.scoring_listener = record_scoring
-        started = time.perf_counter()
         try:
             self.matching = self.pipeline.step_schema_matching(
                 self.sources, self.prepared
@@ -602,7 +632,6 @@ class FusionSession:
         finally:
             for target, attribute, previous in reversed(restore):
                 setattr(target, attribute, previous)
-        self.timings.matching += time.perf_counter() - started
         payload = {
             "correspondences": (
                 len(self.matching.correspondences) if self.matching is not None else 0
@@ -614,12 +643,10 @@ class FusionSession:
         return self.matching, payload
 
     def _run_attribute_selection(self):
-        started = time.perf_counter()
         transformed = self.pipeline.step_transform(self.sources, self.matching)
         if self.transform_filter is not None:
             transformed = self.transform_filter(transformed)
         self.transformed = transformed
-        self.timings.matching += time.perf_counter() - started
         if self.prepared is not None:
             self.prepared_view = self.prepared.view(
                 transformed,
@@ -628,9 +655,7 @@ class FusionSession:
             )
         if self.skip_detection:
             return None, {"skipped": True}
-        started = time.perf_counter()
         self.selection = self.pipeline.step_attribute_selection(transformed)
-        self.timings.duplicate_detection += time.perf_counter() - started
         return self.selection, {"attributes": list(self.selection.attributes)}
 
     def _run_duplicate_detection(self):
@@ -645,38 +670,24 @@ class FusionSession:
             counters["pairs_scored"] = done
             self._emit_progress(self.DUPLICATE_DETECTION, phase, done, total)
 
-        started = time.perf_counter()
         self.detection = self.pipeline.step_duplicate_detection(
             self.transformed,
             self.selection,
             prepared_view=self.prepared_view,
             progress_callback=forward,
         )
-        self.timings.duplicate_detection += time.perf_counter() - started
-        statistics = self.detection.filter_statistics
-        payload = {
-            "clusters": self.detection.cluster_count,
-            "counts": dict(self.detection.classified.counts),
-            "candidate_pairs": statistics.blocking_candidates,
-            "compared_pairs": statistics.compared,
-            "pairs_scored": counters["pairs_scored"],
-            "score_batches": counters["score_batches"],
-        }
-        if statistics.blocking_plan is not None:
-            payload["blocking_plan"] = statistics.blocking_plan
-        report = self.detection.clustering_report
-        if report is not None:
-            payload["clustering"] = report.strategy
-            payload["largest_cluster"] = report.largest_cluster
-            payload["chains_split"] = report.chains_split
+        payload = detection_counters(self.detection)
+        payload["counts"] = dict(self.detection.classified.counts)
+        payload.update(counters)
+        plan = self.detection.filter_statistics.blocking_plan
+        if plan is not None:
+            payload["blocking_plan"] = plan
         return self.detection, payload
 
     def _run_conflict_resolution(self):
         if self.skip_detection or self.skip_conflicts:
             return None, {"skipped": True}
-        started = time.perf_counter()
         self.conflicts = self.pipeline.step_conflicts(self.detection)
-        self.timings.fusion += time.perf_counter() - started
         payload = {
             "contradictions": self.conflicts.contradiction_count,
             "uncertainties": self.conflicts.uncertainty_count,
@@ -690,36 +701,15 @@ class FusionSession:
             counters[phase] = counters.get(phase, 0) + 1
             self._emit_progress(self.FUSION, phase, done, total)
 
-        started = time.perf_counter()
-        if self.detection is not None:
-            self.fusion = self.pipeline.step_fusion(
-                self.detection,
-                spec=self.spec,
-                metadata=self.metadata,
-                progress_callback=forward,
-            )
-        else:
-            # skip_detection: fuse the transformed union directly (the
-            # FUSE BY key shape step_fusion cannot express)
-            operator = FusionOperator(
-                self.spec or FusionSpec(key_columns=[OBJECT_ID_COLUMN]),
-                registry=self.pipeline.registry,
-                table_name="fused",
-                metadata=self.metadata,
-            )
-            operator.progress_callback = forward
-            self.fusion = operator.fuse(self.transformed)
-        self.timings.fusion += time.perf_counter() - started
-        self.result = PipelineResult(
-            sources=self.sources,
-            matching=self.matching,
-            transformed=self.transformed,
-            attribute_selection=self.selection,
-            detection=self.detection,
-            conflicts=self.conflicts,
-            fusion=self.fusion,
-            timings=self.timings,
-            prepared=self.prepared.report() if self.prepared is not None else None,
+        # skip_detection fuses the transformed union on the spec's own keys
+        relation = (
+            self.detection.relation if self.detection is not None else self.transformed
+        )
+        self.fusion = self.pipeline.step_fusion(
+            relation,
+            spec=self.spec,
+            metadata=self.metadata,
+            progress_callback=forward,
         )
         return self.fusion, {
             "output_tuples": len(self.fusion.relation),

@@ -23,12 +23,12 @@ Semantics implemented:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.fusion import FusionResult, FusionSpec
 from repro.core.pipeline import FusionPipeline
 from repro.core.resolution.base import ResolutionRegistry, default_registry
-from repro.dedup.detector import DuplicateDetector, OBJECT_ID_COLUMN
+from repro.dedup.detector import OBJECT_ID_COLUMN
 from repro.engine.catalog import Catalog
 from repro.engine.operators import (
     CrossProduct,
@@ -46,32 +46,37 @@ from repro.exceptions import PlanningError
 from repro.fuseby.ast import FuseByQuery, ResolveItem, SelectItem, StarItem
 from repro.fuseby.parser import parse_query
 from repro.fuseby.planner import Planner, QueryPlan
-from repro.matching.dumas import DumasMatcher
 
 __all__ = ["QueryExecutor"]
 
 
 class QueryExecutor:
-    """Parses, plans and executes Fuse By statements against a catalog."""
+    """Parses, plans and executes Fuse By statements against a catalog.
+
+    Args:
+        catalog: metadata repository holding the registered sources.
+        registry: resolution-function registry the planner validates
+            RESOLVE functions against (default: all built-ins).
+        pipeline: zero-argument factory returning the
+            :class:`~repro.core.pipeline.FusionPipeline` each fusion query
+            runs on — :meth:`repro.hummer.HumMer.pipeline` for a HumMer, so
+            queries share the wizard's settings; called per query, so a
+            preparation mode switched on later is observed.  Defaults to a
+            stock pipeline over *catalog* and *registry*.
+    """
 
     def __init__(
         self,
         catalog: Catalog,
         registry: Optional[ResolutionRegistry] = None,
-        matcher: Optional[DumasMatcher] = None,
-        detector: Optional[DuplicateDetector] = None,
-        preparer_factory=None,
+        pipeline: Optional[Callable[[], FusionPipeline]] = None,
     ):
         self.catalog = catalog
         self.registry = registry or default_registry()
-        self.matcher = matcher or DumasMatcher()
-        self.detector = detector or DuplicateDetector()
         self.planner = Planner(self.registry)
-        #: Zero-argument callable returning the current
-        #: :class:`~repro.prepare.SourcePreparer` (or ``None``) — a callable
-        #: rather than an instance so HumMer's preparation mode, which can be
-        #: switched on after construction, is observed per query.
-        self.preparer_factory = preparer_factory
+        self.pipeline = pipeline or (
+            lambda: FusionPipeline(catalog, registry=self.registry)
+        )
         #: Optional :class:`~repro.core.session.ProgressEvent` listener
         #: subscribed to every fusion query's session, so SQL-driven runs
         #: stream the same intra-step progress (seeds scored, field matrices
@@ -157,14 +162,6 @@ class QueryExecutor:
 
     def _execute_fusion(self, plan: QueryPlan) -> Relation:
         query = plan.query
-        pipeline = FusionPipeline(
-            self.catalog,
-            matcher=self.matcher,
-            detector=self.detector,
-            registry=self.registry,
-            prepare=self.preparer_factory() if self.preparer_factory is not None else None,
-        )
-
         # The WHERE clause is pushed into the session as a transform filter.
         # A filter that changes the combined rows makes the prepared view
         # decline (row counts no longer line up) and detection runs cold.
@@ -184,7 +181,7 @@ class QueryExecutor:
 
         # skip_conflicts: the SQL interface returns only the fused relation,
         # so the wizard's conflict-sampling report (step 5a) is not computed.
-        session = pipeline.session(
+        session = self.pipeline().session(
             plan.aliases,
             spec=spec,
             skip_detection=not plan.needs_duplicate_detection,

@@ -83,13 +83,7 @@ class HumMer:
         self.matcher = matcher or config.matching.build_matcher()
         self.detector = detector or config.dedup.build_detector()
         self._executor = QueryExecutor(
-            self.catalog,
-            registry=self.registry,
-            matcher=self.matcher,
-            detector=self.detector,
-            preparer_factory=lambda: (
-                self._preparer() if self.prepare_mode is not None else None
-            ),
+            self.catalog, registry=self.registry, pipeline=self.pipeline
         )
 
     # -- configuration -------------------------------------------------------------
@@ -280,19 +274,22 @@ class HumMer:
             return FusionSpec(resolutions=specs)
         return self.config.resolution.build_spec()
 
-    def pipeline(self, **overrides) -> FusionPipeline:
+    def pipeline(self) -> FusionPipeline:
         """A :class:`FusionPipeline` bound to this instance's catalog and settings.
 
-        Keyword overrides are passed through to the pipeline constructor
-        (mid-run adjustment lives on :meth:`session`, not on constructor
-        hooks).
+        The one place a config becomes wizard settings: matcher, detector,
+        registry, the name-fallback flag and — when a preparation mode is
+        set — a preparer.  :meth:`fuse`, :meth:`session`,
+        :meth:`restore_session` and :meth:`query` all run on a pipeline
+        built here, so the two query modes cannot drift apart.  A fresh
+        pipeline per call observes :meth:`enable_prepare` switched on
+        later.
         """
-        options = {
-            "matcher": self.matcher,
-            "detector": self.detector,
-            "registry": self.registry,
-            "use_name_fallback": self.config.matching.use_name_fallback,
-            "prepare": self._preparer() if self.prepare_mode is not None else None,
-        }
-        options.update(overrides)
-        return FusionPipeline(self.catalog, **options)
+        return FusionPipeline(
+            self.catalog,
+            matcher=self.matcher,
+            detector=self.detector,
+            registry=self.registry,
+            use_name_fallback=self.config.matching.use_name_fallback,
+            prepare=self._preparer() if self.prepare_mode is not None else None,
+        )

@@ -292,12 +292,22 @@ class TestParity:
             fingerprint(golden_hummer().fuse(["crm", "shop"]))
 
     def test_timings_phases_are_preserved(self, catalog):
-        result = FusionPipeline(catalog).session(["EE_Students", "CS_Students"]).run()
+        session = FusionPipeline(catalog).session(["EE_Students", "CS_Students"])
+        result = session.run()
         timings = result.timings.as_dict()
         assert set(timings) == {
             "fetch", "prepare", "matching", "duplicate_detection", "fusion", "total",
         }
         assert timings["prepare"] == 0.0  # unprepared session: no prepare work
+        # the phases are a view over the per-step clock in advance()
+        reports = session.step_reports
+        assert timings["total"] == pytest.approx(
+            sum(report["seconds"] for report in reports.values())
+        )
+        assert timings["matching"] == pytest.approx(
+            reports["schema_matching"]["seconds"]
+            + reports["attribute_selection"]["seconds"]
+        )
 
 
 class TestSkipConflicts:
@@ -321,30 +331,6 @@ class TestSkipConflicts:
         assert [tuple(r) for r in skipped.relation.rows] == [
             tuple(r) for r in full.relation.rows
         ]
-
-
-class TestPipelineConfig:
-    def test_pipeline_rejects_mismatched_artifact_dir(self, catalog, tmp_path):
-        """config.prepare.artifact_dir must match the catalog's store, not be
-        silently ignored."""
-        from repro.config import PrepareConfig
-        from repro.exceptions import ConfigError
-
-        config = FusionConfig(
-            prepare=PrepareConfig(mode="lazy", artifact_dir=str(tmp_path))
-        )
-        with pytest.raises(ConfigError, match="artifact_dir"):
-            FusionPipeline(catalog, config=config)
-
-    def test_pipeline_accepts_matching_artifact_dir(self, tmp_path):
-        from repro.config import PrepareConfig
-        from repro.engine.catalog import Catalog
-
-        config = FusionConfig(
-            prepare=PrepareConfig(mode="lazy", artifact_dir=str(tmp_path))
-        )
-        pipeline = FusionPipeline(Catalog(artifact_dir=str(tmp_path)), config=config)
-        assert pipeline.preparer is not None
 
 
 class TestConfiguredSessions:

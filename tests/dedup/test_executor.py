@@ -310,18 +310,16 @@ class TestEvidenceAndThreading:
     def test_configured_pipeline_executor(self, small_students_dataset, force_pool):
         from repro.config import FusionConfig
         from repro.core.pipeline import FusionPipeline
-        from repro.engine.catalog import Catalog
+        from repro.hummer import HumMer
 
         dataset = small_students_dataset
-        catalog = Catalog()
+        hummer = HumMer(config=FusionConfig(dedup=DedupConfig(workers=2)))
         for alias, relation in dataset.sources.items():
-            catalog.register(alias, relation)
-        pipeline = FusionPipeline(
-            catalog, config=FusionConfig(dedup=DedupConfig(workers=2))
-        )
+            hummer.register(alias, relation)
+        pipeline = hummer.pipeline()
         assert pipeline.detector.workers == 2
         result = pipeline.run(list(dataset.sources))
-        serial_result = FusionPipeline(catalog).run(list(dataset.sources))
+        serial_result = FusionPipeline(hummer.catalog).run(list(dataset.sources))
         assert result.detection.cluster_assignment == (
             serial_result.detection.cluster_assignment
         )

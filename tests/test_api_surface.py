@@ -113,8 +113,11 @@ SIGNATURES = {
     "HumMer.restore_session": ["self", "snapshot"],
     "FusionPipeline.__init__": [
         "self", "catalog", "matcher", "detector", "registry",
-        "use_name_fallback", "prepare", "config",
+        "use_name_fallback", "prepare",
     ],
+    "FusionPipeline.step_choose_sources": ["self", "aliases"],
+    "FusionPipeline.step_schema_matching": ["self", "sources", "prepared"],
+    "FusionPipeline.step_transform": ["self", "sources", "matching"],
     "FusionPipeline.run": ["self", "aliases", "spec", "metadata"],
     "FusionPipeline.session": [
         "self", "aliases", "spec", "metadata", "skip_detection",
@@ -230,6 +233,7 @@ class TestRetiredShims:
             {"adjust_matching": lambda m: None},
             {"adjust_selection": lambda s: None},
             {"adjust_duplicates": lambda d: None},
+            {"config": FusionConfig()},
         ],
         ids=lambda kwargs: next(iter(kwargs)),
     )

@@ -117,3 +117,83 @@ class TestExtensibility:
         )
         by_name = {row["Name"]: row["Age"] for row in result}
         assert by_name["Anna Schmidt"] == 22
+
+
+class TestOneWiring:
+    """``fuse`` and ``query`` run on the settings of one ``HumMer.pipeline()``."""
+
+    @staticmethod
+    def disjoint_hummer(config) -> HumMer:
+        # no shared values, so instance-based matching finds nothing and
+        # only the label-based fallback could match Name with Name
+        hummer = HumMer(config=config)
+        hummer.register("a", [
+            {"Name": "Anna Schmidt", "City": "Berlin"},
+            {"Name": "Ben Mueller", "City": "Hamburg"},
+        ])
+        hummer.register("b", [
+            {"Name": "Carla Rossi", "Town": "Milano"},
+            {"Name": "Dario Bianchi", "Town": "Torino"},
+        ])
+        return hummer
+
+    @pytest.fixture
+    def fallback_calls(self, monkeypatch):
+        from repro.baselines.name_matcher import NameBasedMatcher
+
+        calls = []
+        original = NameBasedMatcher.match
+
+        def counting(matcher, *args, **kwargs):
+            calls.append(args)
+            return original(matcher, *args, **kwargs)
+
+        monkeypatch.setattr(NameBasedMatcher, "match", counting)
+        return calls
+
+    @pytest.mark.parametrize("use_name_fallback", [False, True])
+    def test_fuse_and_query_share_the_name_fallback_flag(
+        self, fallback_calls, use_name_fallback
+    ):
+        from repro.config import FusionConfig, MatchingConfig
+
+        hummer = self.disjoint_hummer(
+            FusionConfig(matching=MatchingConfig(use_name_fallback=use_name_fallback))
+        )
+        expected = 1 if use_name_fallback else 0
+        hummer.fuse(["a", "b"])
+        assert len(fallback_calls) == expected
+        hummer.query("SELECT * FUSE FROM a, b")
+        assert len(fallback_calls) == 2 * expected
+
+
+class TestBenchmarkHooks:
+    """The module globals an outside tracer wraps are the ones the run calls.
+
+    A refactor that imported ``transform_sources`` or ``find_conflicts``
+    by name elsewhere would bypass a wrapper set on
+    ``repro.core.pipeline`` and silently report zero time for it.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.core.pipeline as core_pipeline
+
+        counts = {"transform_sources": 0, "find_conflicts": 0}
+        for name in counts:
+            original = getattr(core_pipeline, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(core_pipeline, name, counting)
+        return counts
+
+    def test_fuse_calls_each_hook_once(self, hummer, calls):
+        hummer.fuse(["EE_Students", "CS_Students"])
+        assert calls == {"transform_sources": 1, "find_conflicts": 1}
+
+    def test_fuse_by_query_calls_transform_sources(self, hummer, calls):
+        hummer.query("SELECT * FUSE FROM EE_Students, CS_Students FUSE BY (Name)")
+        assert calls["transform_sources"] == 1
